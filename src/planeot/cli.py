@@ -11,84 +11,65 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import io as gridio
 from .conditional import ellipticity_margin
-from .cost import (
-    build_instance,
-    density_moments,
-    krw_1d_distance,
-    M_field,
-    shift_cost_relation,
-)
+from .cost import build_instance, density_moments, krw_1d_distance, shift_cost_relation
 from .errors import ConfigError, PlaneOTError
 from .grids import Density2D, Grid1D
 from .oracle import atomize, exact_ot, exact_ot_1d
-from .pde import SolverConfig, hh_residual, picard_solve, recover_density
+from .pde import SolverConfig, picard_solve
 from .presets import PRESETS, build_preset
 from .validation import run_criteria
 
-_CONFIG_DEFAULTS = {
-    "preset": None,
-    "density_p": None,
-    "density_q": None,
-    "nx": 65,
-    "ny": 65,
-    "omega": 0.7,
-    "picard_tol": 1e-8,
-    "picard_max_iters": 200,
-    "linear_tol": 1e-10,
-    "linear_max_iters": 20000,
-    "oracle": False,
-    "oracle_atoms": 32,
-    "out": "planeot-out",
-    "seed": 0,
-}
-
-
 @dataclass
-class RunConfig:
-    preset: str | None
-    density_p: str | None
-    density_q: str | None
-    nx: int
-    ny: int
-    omega: float
-    picard_tol: float
-    picard_max_iters: int
-    linear_tol: float
-    linear_max_iters: int
-    oracle: bool
-    oracle_atoms: int
-    out: str
-    seed: int
+class RunConfig(SolverConfig):
+    """Solver settings plus the inputs, oracle and output of one CLI run."""
+
+    preset: str | None = None
+    density_p: str | None = None
+    density_q: str | None = None
+    oracle: bool = False
+    oracle_atoms: int = 32
+    out: str = "planeot-out"
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.nx < 9 or self.ny < 9:
+            raise ConfigError(f"nx/ny: grid sizes must be at least 9, got {self.nx}x{self.ny}")
+        if self.oracle_atoms < 1:
+            raise ConfigError(f"oracle_atoms: must be at least 1, got {self.oracle_atoms}")
+        has_files = self.density_p is not None or self.density_q is not None
+        if self.preset is not None and has_files:
+            raise ConfigError("preset: give either a preset or two density files, not both")
+        if self.preset is None and not (self.density_p and self.density_q):
+            raise ConfigError("preset: need a preset name or both density_p and density_q")
+        if self.preset is not None and self.preset not in PRESETS:
+            raise ConfigError(f"preset: unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
+        for key in ("density_p", "density_q"):
+            path = getattr(self, key)
+            if path is not None and not os.path.exists(path):
+                raise ConfigError(f"{key}: file {path!r} does not exist")
 
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            nx=self.nx,
-            ny=self.ny,
-            omega=self.omega,
-            picard_tol=self.picard_tol,
-            picard_max_iters=self.picard_max_iters,
-            linear_tol=self.linear_tol,
-            linear_max_iters=self.linear_max_iters,
-        )
 
+def parse_config(
+    config_path: str | None = None, overrides: dict | None = None
+) -> tuple[RunConfig, bool]:
+    """Resolve a config file plus overrides against the RunConfig defaults.
 
-def parse_config(config_path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Resolve a config file plus overrides against the defaults.
-
-    Raises ConfigError with the offending field named for anything
-    malformed: unknown keys, bad types, grids below the minimum of 9,
-    unknown presets, missing density files.
+    Returns the config and whether the file set ``oracle``. Raises
+    ConfigError with the offending field named for anything malformed:
+    unknown keys, bad types, out-of-range solver settings, grids below
+    the minimum of 9, unknown presets, missing density files.
     """
-    merged = dict(_CONFIG_DEFAULTS)
+    data = {}
     if config_path is not None:
         if not os.path.exists(config_path):
             raise ConfigError(f"config: file {config_path!r} does not exist")
@@ -99,59 +80,23 @@ def parse_config(config_path: str | None = None, overrides: dict | None = None) 
             raise ConfigError(f"config: invalid JSON ({e})") from None
         if not isinstance(data, dict):
             raise ConfigError("config: top level must be an object")
-        for key in data:
-            if key not in _CONFIG_DEFAULTS:
-                raise ConfigError(f"{key}: unknown configuration field")
-        merged.update(data)
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            if key not in _CONFIG_DEFAULTS:
-                raise ConfigError(f"{key}: unknown configuration field")
-            merged[key] = val
-
-    def _as(key, typ):
-        try:
-            return typ(merged[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected {typ.__name__}, got {merged[key]!r}") from None
-
-    cfg = RunConfig(
-        preset=merged["preset"],
-        density_p=merged["density_p"],
-        density_q=merged["density_q"],
-        nx=_as("nx", int),
-        ny=_as("ny", int),
-        omega=_as("omega", float),
-        picard_tol=_as("picard_tol", float),
-        picard_max_iters=_as("picard_max_iters", int),
-        linear_tol=_as("linear_tol", float),
-        linear_max_iters=_as("linear_max_iters", int),
-        oracle=bool(merged["oracle"]),
-        oracle_atoms=_as("oracle_atoms", int),
-        out=str(merged["out"]),
-        seed=_as("seed", int),
-    )
-    if cfg.nx < 9 or cfg.ny < 9:
-        raise ConfigError(f"nx/ny: grid sizes must be at least 9, got {cfg.nx}x{cfg.ny}")
-    if not (0.0 < cfg.omega <= 1.0):
-        raise ConfigError(f"omega: must lie in (0, 1], got {cfg.omega}")
-    for key in ("picard_tol", "linear_tol"):
-        if getattr(cfg, key) <= 0.0:
-            raise ConfigError(f"{key}: must be positive")
-    if cfg.oracle_atoms < 1:
-        raise ConfigError(f"oracle_atoms: must be at least 1, got {cfg.oracle_atoms}")
-    has_files = cfg.density_p is not None or cfg.density_q is not None
-    if cfg.preset is not None and has_files:
-        raise ConfigError("preset: give either a preset or two density files, not both")
-    if cfg.preset is None and not (cfg.density_p and cfg.density_q):
-        raise ConfigError("preset: need a preset name or both density_p and density_q")
-    if cfg.preset is not None and cfg.preset not in PRESETS:
-        raise ConfigError(f"preset: unknown preset {cfg.preset!r}; choose from {sorted(PRESETS)}")
-    for key in ("density_p", "density_q"):
-        path = getattr(cfg, key)
-        if path is not None and not os.path.exists(path):
-            raise ConfigError(f"{key}: file {path!r} does not exist")
-    return cfg
+    given = {**data, **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for key in given:
+        if key not in defaults:
+            raise ConfigError(f"{key}: unknown configuration field")
+    values = {}
+    for key, default in defaults.items():
+        val = given.get(key, default)
+        if default is not None:
+            try:
+                val = type(default)(val)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{key}: expected {type(default).__name__}, got {val!r}"
+                ) from None
+        values[key] = val
+    return RunConfig(**values), "oracle" in data
 
 
 def _load_instance(cfg: RunConfig):
@@ -187,7 +132,7 @@ def _write_resolved(cfg: RunConfig):
 def run_solve(cfg: RunConfig) -> int:
     _write_resolved(cfg)
     inst, q_orig = _load_instance(cfg)
-    F, report = picard_solve(inst, cfg.solver_config())
+    F, report = picard_solve(inst, cfg)
     pairs = [(f"config.{k}", v) for k, v in sorted(cfg.as_dict().items())]
     pairs += [
         ("iterations", report.iterations),
@@ -201,17 +146,12 @@ def run_solve(cfg: RunConfig) -> int:
         ("cost", report.cost),
         ("w2", float(np.sqrt(max(report.cost, 0.0)))),
     ]
-    try:
-        cand = recover_density(inst, F)
-    except PlaneOTError:
-        cand = None
-        if report.converged:
-            raise
-    if cand is not None:
-        gridio.write_density(os.path.join(cfg.out, "p.dat"), cand.q)
-        gridio.write_field(os.path.join(cfg.out, "M.dat"), M_field(inst, cand))
-    gridio.write_field(os.path.join(cfg.out, "F.dat"), F.field)
-    gridio.write_field(os.path.join(cfg.out, "hh_residual.dat"), hh_residual(inst, F))
+    if report.candidate is not None:
+        gridio.write_density(os.path.join(cfg.out, "p.dat"), report.candidate.q)
+        gridio.write_field(os.path.join(cfg.out, "M.dat"), report.M)
+    gridio.write_field(os.path.join(cfg.out, "F.dat"), F)
+    if report.hh is not None:
+        gridio.write_field(os.path.join(cfg.out, "hh_residual.dat"), report.hh)
     if q_orig is not None:
         ex1, ex2 = density_moments(inst.f)
         ey1, ey2 = density_moments(q_orig)
@@ -359,18 +299,10 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
     }
     try:
-        cfg = parse_config(args.config, overrides)
+        cfg, oracle_pinned = parse_config(args.config, overrides)
         # the oracle defaults on for validate/oracle runs and whenever an
-        # atom count was requested, unless the config file pinned it off
-        explicit = False
-        if args.config is not None and os.path.exists(args.config):
-            try:
-                with open(args.config) as fh:
-                    raw = json.load(fh)
-                explicit = isinstance(raw, dict) and "oracle" in raw
-            except json.JSONDecodeError:
-                explicit = False
-        if not explicit and (
+        # atom count was requested, unless the config file pinned it
+        if not oracle_pinned and (
             args.command in ("validate", "oracle") or overrides["oracle_atoms"] is not None
         ):
             cfg.oracle = True

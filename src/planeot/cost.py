@@ -249,7 +249,7 @@ def split_check(inst: Instance, coupling_sample: np.ndarray) -> float:
 
 
 def _m_pieces(inst: Instance, cand: CandidateQ):
-    """Boundary curves and the interior integrand of the potential M."""
+    """Boundary curves of the potential M and the double integral of its integrand."""
     q = cand.q
     gx, gy = q.gx, q.gy
     U = _conditional_levels(q, axis=0)
@@ -268,7 +268,8 @@ def _m_pieces(inst: Instance, cand: CandidateQ):
     )
     dV_dx = _d1_edge3(V, gx.h, axis=0)
     d2 = inst.cq_G2.quantile_ds(V, Xg) * dV_dx + inst.cq_G2.quantile_dcond(V, Xg)
-    return b_x, b_y, d1 + d2
+    inner = cumtrapz1d(cumtrapz1d(d1 + d2, gx.h, axis=0), gy.h, axis=1)
+    return b_x, b_y, inner
 
 
 def M_field(inst: Instance, cand: CandidateQ) -> ScalarField2D:
@@ -281,8 +282,7 @@ def M_field(inst: Instance, cand: CandidateQ) -> ScalarField2D:
     """
     _check_feasible(cand)
     q = cand.q
-    b_x, b_y, integrand = _m_pieces(inst, cand)
-    inner = cumtrapz1d(cumtrapz1d(integrand, q.gx.h, axis=0), q.gy.h, axis=1)
+    b_x, b_y, inner = _m_pieces(inst, cand)
     X = q.gx.nodes[:, None]
     Y = q.gy.nodes[None, :]
     vals = X**2 + Y**2 + b_x[:, None] + b_y[None, :] - 2.0 * inner
@@ -291,9 +291,7 @@ def M_field(inst: Instance, cand: CandidateQ) -> ScalarField2D:
 
 def M_closed_form_residual(inst: Instance, cand: CandidateQ) -> float:
     """Gap between M and its boundary-only closed form; small at optimality."""
-    q = cand.q
-    b_x, b_y, integrand = _m_pieces(inst, cand)
-    inner = cumtrapz1d(cumtrapz1d(integrand, q.gx.h, axis=0), q.gy.h, axis=1)
+    _, _, inner = _m_pieces(inst, cand)
     return float(np.max(np.abs(2.0 * inner)))
 
 

@@ -92,11 +92,12 @@ class ScalarField2D:
 
 
 class Density2D(ScalarField2D):
-    """Strictly positive density values on a tensor grid.
+    """Strictly positive, finite density values on a tensor grid.
 
-    Values at or below zero are rejected; values in ``(0, EPS_POS)`` are
-    floored up to ``EPS_POS``. Construction does not normalize; call
-    :func:`normalize` for unit mass.
+    Values at or below zero, NaN and infinities are rejected, naming the
+    first such node; values in ``(0, EPS_POS)`` are floored up to
+    ``EPS_POS``. Construction does not normalize; call :func:`normalize`
+    for unit mass.
     """
 
     def __init__(self, gx: Grid1D, gy: Grid1D, values: np.ndarray):
@@ -105,9 +106,12 @@ class Density2D(ScalarField2D):
             raise ValueError(
                 f"values shape {values.shape} does not match grids ({gx.n}, {gy.n})"
             )
-        if not np.all(values > 0.0):
+        bad = ~((values > 0.0) & np.isfinite(values))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise NonPositiveDensity(
-                f"density has {np.count_nonzero(values <= 0.0)} non-positive values"
+                f"density value {float(values[i, j])!r} at node ({i}, {j}) "
+                "is not positive and finite"
             )
         super().__init__(gx, gy, np.maximum(values, EPS_POS))
 

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cost import CandidateQ, Instance, M_field, make_candidate, objective
-from .errors import LinearSolveDiverged, NegativeMassExcessive, QuantileRangeError
+from .errors import ConfigError, LinearSolveDiverged, NegativeMassExcessive, QuantileRangeError
 from .grids import (
     EPS_POS,
     Density2D,
@@ -41,7 +41,13 @@ from .grids import (
 # ratios F'_x/f1 and F'_y/f2~ may leave [0,1] by this much before it is
 # treated as a gross violation; finite-h iterates overshoot near
 # low-density edges at the discretization-error level, well above roundoff
-DEFAULT_RATIO_GUARD = 0.05
+RATIO_GUARD = 0.05
+# residual maxima in reports exclude a band this wide along the boundary:
+# the discrete solve carries a numerical boundary layer a few nodes deep
+# whose defect decays one order slower than the bulk
+RESIDUAL_MARGIN = 0.1
+# density recovery fails when flooring removes more than this share of mass
+MAX_FLOORED = 0.01
 
 
 @dataclass
@@ -53,22 +59,24 @@ class SolverConfig:
     picard_max_iters: int = 200
     linear_tol: float = 1e-10
     linear_max_iters: int = 20000
-    ratio_guard: float = DEFAULT_RATIO_GUARD
-    # residual maxima in reports exclude a band this wide along the
-    # boundary: the discrete solve carries a numerical boundary layer a
-    # few nodes deep whose defect decays one order slower than the bulk
-    residual_margin: float = 0.1
 
     def __post_init__(self):
         if not (0.0 < self.omega <= 1.0):
-            raise ValueError(f"omega must lie in (0, 1], got {self.omega}")
-        for name in ("picard_tol", "linear_tol", "ratio_guard"):
+            raise ConfigError(f"omega: must lie in (0, 1], got {self.omega}")
+        for name in ("picard_tol", "linear_tol"):
             if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name}: must be positive")
 
 
 @dataclass
 class SolveReport:
+    """Diagnostics of one Picard solve and the fields derived from its result.
+
+    ``candidate`` and ``M`` are None when recovery floored away too much
+    mass; ``hh`` is None when the last iterate's derivative ratios left
+    [0, 1] beyond the guard.
+    """
+
     iterations: int = 0
     converged: bool = False
     final_update_norm: float = np.inf
@@ -78,40 +86,9 @@ class SolveReport:
     cost: float = np.nan
     monotone_violations: int = 0
     floored_mass: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_update_norm": self.final_update_norm,
-            "hh_residual_max": self.hh_residual_max,
-            "mixed_M_residual_max": self.mixed_M_residual_max,
-            "ellipticity_margin": self.ellipticity_margin,
-            "cost": self.cost,
-            "monotone_violations": self.monotone_violations,
-            "floored_mass": self.floored_mass,
-        }
-
-
-class DistributionF:
-    """Grid values of the distribution function of Z with Dirichlet data."""
-
-    __slots__ = ("field",)
-
-    def __init__(self, field: ScalarField2D):
-        self.field = field
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
-
-    @property
-    def gx(self) -> Grid1D:
-        return self.field.gx
-
-    @property
-    def gy(self) -> Grid1D:
-        return self.field.gy
+    candidate: CandidateQ | None = None
+    hh: ScalarField2D | None = None
+    M: ScalarField2D | None = None
 
 
 class PdeCoefficients:
@@ -143,7 +120,7 @@ def dirichlet_boundary(inst: Instance, gx: Grid1D, gy: Grid1D):
     return top, right
 
 
-def initial_iterate(inst: Instance, gx: Grid1D, gy: Grid1D) -> DistributionF:
+def initial_iterate(inst: Instance, gx: Grid1D, gy: Grid1D) -> ScalarField2D:
     """Product of the boundary CDFs.
 
     Satisfies all four Dirichlet edges exactly and keeps both derivative
@@ -151,7 +128,7 @@ def initial_iterate(inst: Instance, gx: Grid1D, gy: Grid1D) -> DistributionF:
     edges does not once the marginals are far from uniform).
     """
     top, right = dirichlet_boundary(inst, gx, gy)
-    return DistributionF(ScalarField2D(gx, gy, np.outer(top, right)))
+    return ScalarField2D(gx, gy, np.outer(top, right))
 
 
 def _marginal_tables(inst: Instance, gx: Grid1D, gy: Grid1D):
@@ -165,9 +142,7 @@ def _marginal_tables(inst: Instance, gx: Grid1D, gy: Grid1D):
     return f1, f2t, logd1, logd2t
 
 
-def _derivative_ratios(
-    inst: Instance, F: DistributionF, ratio_guard: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _derivative_ratios(inst: Instance, F: ScalarField2D) -> tuple[np.ndarray, np.ndarray]:
     """Clamped level fields v = F'_x/f1 and u = F'_y/f2~."""
     gx, gy = F.gx, F.gy
     f1, f2t, _, _ = _marginal_tables(inst, gx, gy)
@@ -178,9 +153,9 @@ def _derivative_ratios(
     worst = max(
         float(max(-v.min(), v.max() - 1.0)), float(max(-u.min(), u.max() - 1.0))
     )
-    if worst > ratio_guard:
+    if worst > RATIO_GUARD:
         raise QuantileRangeError(
-            f"derivative ratio left [0, 1] by {worst:.3e} (guard {ratio_guard:.1e})"
+            f"derivative ratio left [0, 1] by {worst:.3e} (guard {RATIO_GUARD:.1e})"
         )
     return np.clip(v, 0.0, 1.0), np.clip(u, 0.0, 1.0)
 
@@ -189,9 +164,7 @@ def _derivative_ratios(
 # assembly, one linear step, the Picard loop
 
 
-def assemble_coefficients(
-    inst: Instance, F: DistributionF, ratio_guard: float = DEFAULT_RATIO_GUARD
-) -> PdeCoefficients:
+def assemble_coefficients(inst: Instance, F: ScalarField2D) -> PdeCoefficients:
     """Coefficient fields of the frozen-coefficient linear problem.
 
     A multiplies F''_xx, B multiplies F''_yy, and C collects the
@@ -200,7 +173,7 @@ def assemble_coefficients(
     """
     gx, gy = F.gx, F.gy
     f1, f2t, logd1, logd2t = _marginal_tables(inst, gx, gy)
-    v, u = _derivative_ratios(inst, F, ratio_guard)
+    v, u = _derivative_ratios(inst, F)
     Fx = v * f1[:, None]
     Fy = u * f2t[None, :]
     Xg = np.broadcast_to(gx.nodes[:, None], v.shape)
@@ -220,10 +193,10 @@ def assemble_coefficients(
 
 def linear_elliptic_solve(
     coeffs: PdeCoefficients,
-    boundary: DistributionF,
+    boundary: ScalarField2D,
     linear_tol: float = 1e-10,
     linear_max_iters: int = 20000,
-) -> DistributionF:
+) -> ScalarField2D:
     """Solve A d2x F + B d2y F = C on interior nodes with given Dirichlet data.
 
     Five-point second differences; the sparse system is solved by
@@ -290,15 +263,17 @@ def linear_elliptic_solve(
                 )
     out = bvals.copy()
     out[1:-1, 1:-1] = x.reshape(ni, mi)
-    return DistributionF(ScalarField2D(gx, gy, out))
+    return ScalarField2D(gx, gy, out)
 
 
-def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[DistributionF, SolveReport]:
+def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[ScalarField2D, SolveReport]:
     """Damped frozen-coefficient iteration until the max-norm update is small.
 
-    Convergence failure does not raise; the report comes back with
-    ``converged`` false and whatever diagnostics the last iterate allows,
-    so callers can inspect a stalled run.
+    Neither convergence failure nor an iterate whose derivative ratios
+    trip the guard raises; the report comes back with ``converged`` false
+    and whatever diagnostics the last iterate allows, so callers can
+    inspect a stopped run. The report carries the recovered candidate and
+    the hh and M fields, so callers never recompute them.
     """
     gx = Grid1D(0.0, 1.0, cfg.nx)
     gy = Grid1D(1.0, 2.0, cfg.ny)
@@ -306,7 +281,10 @@ def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[DistributionF, Solv
     report = SolveReport()
     ell = np.inf
     for k in range(1, cfg.picard_max_iters + 1):
-        coeffs = assemble_coefficients(inst, F, ratio_guard=cfg.ratio_guard)
+        try:
+            coeffs = assemble_coefficients(inst, F)
+        except QuantileRangeError:
+            break
         if k == 1 and coeffs.margin <= 1e-8:
             warnings.warn(
                 f"ellipticity margin {coeffs.margin:.3e} is not safely positive; "
@@ -319,7 +297,7 @@ def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[DistributionF, Solv
         )
         new_vals = (1.0 - cfg.omega) * F.values + cfg.omega * F_star.values
         update = float(np.max(np.abs(new_vals - F.values)))
-        F = DistributionF(ScalarField2D(gx, gy, new_vals))
+        F = ScalarField2D(gx, gy, new_vals)
         report.iterations = k
         report.final_update_norm = update
         if update <= cfg.picard_tol:
@@ -328,23 +306,27 @@ def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[DistributionF, Solv
     report.ellipticity_margin = float(ell)
     report.monotone_violations = _count_monotone_violations(F)
     try:
+        report.hh = hh_residual(inst, F)
+    except QuantileRangeError:
+        if report.converged:
+            raise
+    else:
+        report.hh_residual_max = residual_window_max(report.hh)
+    try:
         cand = recover_density(inst, F)
     except NegativeMassExcessive:
         if report.converged:
             raise
         return F, report
+    report.candidate = cand
     report.floored_mass = cand.floored_mass
     report.cost = objective(inst, cand)
-    hh = hh_residual(inst, F)
-    report.hh_residual_max = residual_window_max(hh, cfg.residual_margin)
-    M = M_field(inst, cand)
-    report.mixed_M_residual_max = residual_window_max(
-        mixed_xy(M), cfg.residual_margin
-    )
+    report.M = M_field(inst, cand)
+    report.mixed_M_residual_max = residual_window_max(mixed_xy(report.M))
     return F, report
 
 
-def residual_window_max(field: ScalarField2D, margin: float = 0.1) -> float:
+def residual_window_max(field: ScalarField2D, margin: float = RESIDUAL_MARGIN) -> float:
     """Max magnitude over nodes at least ``margin`` inside the boundary."""
     gx, gy = field.gx, field.gy
     mx = (gx.nodes >= gx.lo + margin - 1e-12) & (gx.nodes <= gx.hi - margin + 1e-12)
@@ -357,15 +339,13 @@ def residual_window_max(field: ScalarField2D, margin: float = 0.1) -> float:
     return float(np.max(np.abs(field.values[np.ix_(mx, my)])))
 
 
-def _count_monotone_violations(F: DistributionF, tol: float = 1e-12) -> int:
+def _count_monotone_violations(F: ScalarField2D, tol: float = 1e-12) -> int:
     dv_x = np.diff(F.values, axis=0)
     dv_y = np.diff(F.values, axis=1)
     return int(np.count_nonzero(dv_x < -tol) + np.count_nonzero(dv_y < -tol))
 
 
-def hh_residual(
-    inst: Instance, F: DistributionF, ratio_guard: float = DEFAULT_RATIO_GUARD
-) -> ScalarField2D:
+def hh_residual(inst: Instance, F: ScalarField2D) -> ScalarField2D:
     """Pointwise stationarity defect of F, interior nodes only.
 
     The total y-derivative of the first quantile composite plus the total
@@ -373,7 +353,7 @@ def hh_residual(
     the level and conditioning derivatives. Edge entries are zero.
     """
     gx, gy = F.gx, F.gy
-    v, u = _derivative_ratios(inst, F, ratio_guard)
+    v, u = _derivative_ratios(inst, F)
     Xg = np.broadcast_to(gx.nodes[:, None], v.shape)
     Yg = np.broadcast_to(gy.nodes[None, :], u.shape)
     du_dy = _d1(u, gy.h, axis=1)
@@ -389,18 +369,18 @@ def hh_residual(
     return ScalarField2D(gx, gy, out)
 
 
-def recover_density(inst: Instance, F: DistributionF, max_floored: float = 0.01) -> CandidateQ:
+def recover_density(inst: Instance, F: ScalarField2D) -> CandidateQ:
     """Mixed derivative of F, floored at zero and renormalized to unit mass.
 
     The recovered marginals track the prescribed ones at the mixed-stencil
     truncation level; the 25 h^2 feasibility slack covers the measured
     constant (about 11 h^2 on the steepest shipped preset) with headroom.
     """
-    p_raw = mixed_xy(F.field).values
+    p_raw = mixed_xy(F).values
     clipped = np.maximum(p_raw, 0.0)
     removed = trapz2d(clipped - p_raw, F.gx.h, F.gy.h)
     total = trapz2d(clipped, F.gx.h, F.gy.h)
-    if total <= 0.0 or removed > max_floored * total:
+    if total <= 0.0 or removed > MAX_FLOORED * total:
         raise NegativeMassExcessive(
             f"flooring removed {removed:.3e} of mass {total:.3e}"
         )

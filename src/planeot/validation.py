@@ -25,29 +25,24 @@ from .cost import (
     apply_perturbation,
     density_moments,
     krw_1d_distance,
-    objective,
     M_closed_form_residual,
-    M_field,
+    build_instance,
+    objective,
     shift_cost_relation,
     split_check,
 )
 from .errors import PositivityViolated
-from .grids import Density2D, Grid1D, Marginal1D, ScalarField2D, mixed_xy
+from .grids import Density2D, Grid1D, Marginal1D, ScalarField2D
 from .oracle import atomize, exact_ot, exact_ot_1d, minimize_objective_direct
 from .pde import (
-    DistributionF,
+    RESIDUAL_MARGIN,
     PdeCoefficients,
-    SolveReport,
     SolverConfig,
-    hh_residual,
     linear_elliptic_solve,
     picard_solve,
-    recover_density,
-    residual_window_max,
 )
-from .presets import PRESETS, build_preset
+from .presets import build_preset
 
-RESIDUAL_MARGIN = 0.1
 PRESET_NAMES = ("uniform", "product-gauss", "bilinear")
 
 
@@ -74,14 +69,10 @@ class Workspace:
     def solve(self, preset: str, n: int):
         key = (preset, n)
         if key not in self._solves:
-            from .cost import build_instance
-
             f, ft = build_preset(preset, n, n)
             inst = build_instance(f, ft)
-            cfg = SolverConfig(nx=n, ny=n, omega=self.omega)
-            F, report = picard_solve(inst, cfg)
-            cand = recover_density(inst, F)
-            self._solves[key] = (inst, F, report, cand)
+            F, report = picard_solve(inst, SolverConfig(nx=n, ny=n, omega=self.omega))
+            self._solves[key] = (inst, F, report, report.candidate)
         return self._solves[key]
 
 
@@ -162,7 +153,7 @@ def criterion_stationarity(ws: Workspace, rng: np.random.Generator) -> Criterion
     parts = []
     for preset in PRESET_NAMES:
         inst, F, rep, cand = ws.solve(preset, 65)
-        base = objective(inst, cand)
+        base = rep.cost
         worst = np.inf
         done = tries = 0
         while done < 100 and tries < 2000:
@@ -195,10 +186,8 @@ def criterion_residual_refinement(ws: Workspace) -> CriterionResult:
     for preset in PRESET_NAMES:
         vals = {}
         for n in (33, 65):
-            inst, F, rep, cand = ws.solve(preset, n)
-            hh = residual_window_max(hh_residual(inst, F), RESIDUAL_MARGIN)
-            mm = residual_window_max(mixed_xy(M_field(inst, cand)), RESIDUAL_MARGIN)
-            vals[n] = (hh, mm, F.gx.h)
+            _, F, rep, _ = ws.solve(preset, n)
+            vals[n] = (rep.hh_residual_max, rep.mixed_M_residual_max, F.gx.h)
         for label, idx in (("hh", 0), ("mm", 1)):
             r33, r65 = vals[33][idx], vals[65][idx]
             h33, h65 = vals[33][2], vals[65][2]
@@ -348,7 +337,7 @@ def criterion_manufactured(ws: Workspace) -> CriterionResult:
     four = ScalarField2D(gx, gy, np.full((n, n), 4.0))
     sol = linear_elliptic_solve(
         PdeCoefficients(ones, ones, four),
-        DistributionF(ScalarField2D(gx, gy, Fq)),
+        ScalarField2D(gx, gy, Fq),
         linear_tol=1e-12,
     )
     quad_err = float(np.max(np.abs(sol.values - Fq)))
@@ -362,7 +351,7 @@ def criterion_manufactured(ws: Workspace) -> CriterionResult:
         rhs = ScalarField2D(gxm, gym, -2.0 * np.pi**2 * Fs)
         solm = linear_elliptic_solve(
             PdeCoefficients(one_m, one_m, rhs),
-            DistributionF(ScalarField2D(gxm, gym, np.zeros((m, m)))),
+            ScalarField2D(gxm, gym, np.zeros((m, m))),
             linear_tol=1e-12,
         )
         errs.append(float(np.max(np.abs(solm.values - Fs))))

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -41,15 +42,22 @@ class TestGridFiles:
         assert np.array_equal(back.values, vals)
 
     def test_negative_density_rejected(self, tmp_path):
+        # negative and non-finite values are rejected where they enter, at
+        # the node they sit on: (1, 2) is the second value of the third row
         g = Grid1D(0.0, 1.0, 9)
         d = po.normalize(Density2D(g, g, np.ones((9, 9))))
         path = tmp_path / "bad.dat"
-        gridio.write_density(str(path), d)
-        lines = open(path).read().splitlines()
-        lines[3] = lines[3].replace(" 1.0", " -1.0", 1)
-        open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(NonPositiveDensity):
-            gridio.read_density(str(path))
+        for bad in (-1.0, np.nan, np.inf):
+            gridio.write_density(str(path), d)
+            lines = open(path).read().splitlines()
+            lines[3] = lines[3].replace(" 1.0", f" {bad!r}", 1)
+            open(path, "w").write("\n".join(lines) + "\n")
+            with pytest.raises(NonPositiveDensity, match=r"node \(1, 2\)"):
+                gridio.read_density(str(path))
+            vals = np.ones((9, 9))
+            vals[1, 2] = bad
+            with pytest.raises(NonPositiveDensity, match=r"node \(1, 2\)"):
+                Density2D(g, g, vals)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "junk.dat"
@@ -60,7 +68,7 @@ class TestGridFiles:
 
 class TestParseConfig:
     def test_minimal_preset_defaults(self):
-        cfg = parse_config(None, {"preset": "uniform"})
+        cfg, _ = parse_config(None, {"preset": "uniform"})
         assert cfg.nx == 65 and cfg.ny == 65
         assert cfg.omega == 0.7
         assert cfg.picard_tol == 1e-8
@@ -79,11 +87,19 @@ class TestParseConfig:
             parse_config(None, {"density_p": "/does/not/exist", "density_q": "/nor/this"})
 
     def test_round_trip(self, tmp_path):
-        cfg = parse_config(None, {"preset": "bilinear", "nx": 33, "ny": 33, "seed": 7})
+        cfg, _ = parse_config(None, {"preset": "bilinear", "nx": 33, "ny": 33, "seed": 7})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg.as_dict()))
-        cfg2 = parse_config(str(path), {})
+        cfg2, _ = parse_config(str(path), {})
         assert cfg2.as_dict() == cfg.as_dict()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("omega", 0.0), ("omega", 1.5), ("picard_tol", 0.0), ("linear_tol", -1e-10)],
+    )
+    def test_solver_setting_out_of_range(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key}:"):
+            parse_config(None, {"preset": "uniform", key: value})
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -124,6 +140,39 @@ class TestCliSolve:
         assert rc == 2
         report = (tmp_path / "run" / "report.txt").read_text()
         assert "converged = false" in report
+
+    def test_ratio_guard_exit_two(self, tmp_path, capsys):
+        # undamped steps push product-gauss's derivative ratios out of
+        # [0, 1]; the solve stops with a partial report instead of an error
+        out = tmp_path / "run"
+        rc = main(["solve", "--preset", "product-gauss", "--nx", "33", "--ny", "33",
+                   "--omega", "1.0", "--out", str(out)])
+        assert rc == 2
+        report = (out / "report.txt").read_text()
+        assert "converged = false" in report
+        assert "hh_residual_max = nan" in report
+        gridio.read_field(str(out / "F.dat"))
+        assert not (out / "hh_residual.dat").exists()
+
+    def test_derived_fields_computed_once(self, tmp_path, monkeypatch, capsys):
+        # count calls wherever a planeot module looks the functions up
+        counts = {}
+        for name in ("hh_residual", "recover_density", "M_field"):
+            original = getattr(po, name)
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            for modname, mod in list(sys.modules.items()):
+                if modname == "planeot" or modname.startswith("planeot."):
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, counted)
+        rc = main(["solve", "--preset", "bilinear", "--nx", "33", "--ny", "33",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert counts == {"hh_residual": 1, "recover_density": 1, "M_field": 1}
 
     def test_bad_file_exit_one(self, tmp_path, capsys):
         rc = main(["solve", "--density-p", "/missing.dat", "--density-q", "/missing2.dat"])
@@ -175,6 +224,17 @@ class TestCliSolve:
         assert "oracle_cost = " in report
         assert "oracle_dual_gap = " in report
 
+    def test_oracle_pinned_off(self, tmp_path, capsys):
+        # a config file that pins the oracle off wins over --oracle-atoms
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"preset": "uniform", "nx": 17, "ny": 17, "oracle": False}))
+        out = tmp_path / "run"
+        rc = main(["solve", "--config", str(cfgfile), "--oracle-atoms", "8", "--out", str(out)])
+        assert rc == 0
+        report = (out / "report.txt").read_text()
+        assert "config.oracle = false" in report
+        assert "oracle_cost" not in report
+
 
 class TestCliOther:
     def test_distance1d(self, tmp_path, capsys):
@@ -200,7 +260,7 @@ class TestCliOther:
         rc = main(["solve", "--preset", "uniform", "--nx", "17", "--ny", "17", "--out", str(out)])
         assert rc == 0
         resolved = out / "resolved_config.json"
-        cfg2 = parse_config(str(resolved), {})
+        cfg2, _ = parse_config(str(resolved), {})
         assert json.load(open(resolved)) == cfg2.as_dict()
 
 

@@ -5,7 +5,6 @@ import planeot as po
 from planeot.errors import NegativeMassExcessive, QuantileRangeError
 from planeot.grids import Grid1D, ScalarField2D
 from planeot.pde import (
-    DistributionF,
     PdeCoefficients,
     dirichlet_boundary,
     initial_iterate,
@@ -38,7 +37,7 @@ class TestBoundary:
         inst = instances("product-gauss", 65)
         gx, gy = Grid1D(0, 1, 65), Grid1D(1, 2, 65)
         F0 = initial_iterate(inst, gx, gy)
-        po.assemble_coefficients(inst, F0, ratio_guard=0.05)
+        po.assemble_coefficients(inst, F0)
 
     def test_corner_is_one(self, instances):
         inst = instances("bilinear", 33)
@@ -50,7 +49,7 @@ class TestAssemble:
     def test_uniform_exact_coefficients(self, instances):
         inst = instances("uniform", 33)
         gx, gy = Grid1D(0, 1, 33), Grid1D(1, 2, 33)
-        F = DistributionF(field(gx, gy, lambda X, Y: X * (Y - 1.0)))
+        F = field(gx, gy, lambda X, Y: X * (Y - 1.0))
         coeffs = po.assemble_coefficients(inst, F)
         assert np.max(np.abs(coeffs.A.values - 1.0)) < 1e-12
         assert np.max(np.abs(coeffs.B.values - 1.0)) < 1e-12
@@ -63,7 +62,7 @@ class TestAssemble:
             inst = instances("product-gauss", n)
             gx, gy = Grid1D(0, 1, n), Grid1D(1, 2, n)
             top, right = dirichlet_boundary(inst, gx, gy)
-            F = DistributionF(ScalarField2D(gx, gy, np.outer(top, right)))
+            F = ScalarField2D(gx, gy, np.outer(top, right))
             coeffs = po.assemble_coefficients(inst, F)
             from planeot.grids import _d2
 
@@ -85,23 +84,23 @@ class TestAssemble:
     def test_ratio_guard_trips(self, instances):
         inst = instances("uniform", 33)
         gx, gy = Grid1D(0, 1, 33), Grid1D(1, 2, 33)
-        F = DistributionF(field(gx, gy, lambda X, Y: 2.0 * X * (Y - 1.0)))
+        F = field(gx, gy, lambda X, Y: 2.0 * X * (Y - 1.0))
         with pytest.raises(QuantileRangeError):
-            po.assemble_coefficients(inst, F, ratio_guard=0.05)
+            po.assemble_coefficients(inst, F)
 
 
 class TestLinearSolve:
     def test_harmonic_bilinear_exact(self):
         gx, gy = Grid1D(0, 1, 33), Grid1D(1, 2, 33)
         Fb = field(gx, gy, lambda X, Y: X * (Y - 1.0))
-        sol = po.linear_elliptic_solve(ones_coeffs(gx, gy, 0.0), DistributionF(Fb))
+        sol = po.linear_elliptic_solve(ones_coeffs(gx, gy, 0.0), Fb)
         assert np.max(np.abs(sol.values - Fb.values)) < 1e-10
 
     def test_quadratic_manufactured_exact(self):
         gx, gy = Grid1D(0, 1, 33), Grid1D(1, 2, 33)
         Fm = field(gx, gy, lambda X, Y: X**2 + (Y - 1.0) ** 2)
         sol = po.linear_elliptic_solve(
-            ones_coeffs(gx, gy, 4.0), DistributionF(Fm), linear_tol=1e-12
+            ones_coeffs(gx, gy, 4.0), Fm, linear_tol=1e-12
         )
         assert np.max(np.abs(sol.values - Fm.values)) < 1e-10
 
@@ -115,7 +114,7 @@ class TestLinearSolve:
             rhs = ScalarField2D(gx, gy, -2.0 * np.pi**2 * Fs)
             sol = po.linear_elliptic_solve(
                 PdeCoefficients(one, one, rhs),
-                DistributionF(ScalarField2D(gx, gy, np.zeros((n, n)))),
+                ScalarField2D(gx, gy, np.zeros((n, n))),
                 linear_tol=1e-12,
             )
             errs.append(np.max(np.abs(sol.values - Fs)))
@@ -193,7 +192,7 @@ class TestHhResidual:
     def test_uniform_zero(self, instances):
         inst = instances("uniform", 33)
         gx, gy = Grid1D(0, 1, 33), Grid1D(1, 2, 33)
-        F = DistributionF(field(gx, gy, lambda X, Y: X * (Y - 1.0)))
+        F = field(gx, gy, lambda X, Y: X * (Y - 1.0))
         res = po.hh_residual(inst, F)
         assert np.max(np.abs(res.values)) < 1e-10
 
@@ -220,8 +219,8 @@ class TestRecoverDensity:
     def test_non_monotone_raises(self, instances):
         inst = instances("uniform", 33)
         gx, gy = Grid1D(0, 1, 33), Grid1D(1, 2, 33)
-        bad = DistributionF(
-            field(gx, gy, lambda X, Y: X * (Y - 1.0) + 0.3 * np.sin(3 * np.pi * X) * np.sin(3 * np.pi * (Y - 1)))
+        bad = field(
+            gx, gy, lambda X, Y: X * (Y - 1.0) + 0.3 * np.sin(3 * np.pi * X) * np.sin(3 * np.pi * (Y - 1))
         )
         with pytest.raises(NegativeMassExcessive):
             po.recover_density(inst, bad)
@@ -232,9 +231,8 @@ class TestRecoverDensity:
 
     def test_report_fields_populated(self, solves):
         _, _, rep, _ = solves("bilinear", 65)
-        d = rep.as_dict()
-        assert d["converged"] is True
-        assert d["ellipticity_margin"] > 0.0
-        assert d["monotone_violations"] == 0
-        assert np.isfinite(d["hh_residual_max"])
-        assert np.isfinite(d["mixed_M_residual_max"])
+        assert rep.converged is True
+        assert rep.ellipticity_margin > 0.0
+        assert rep.monotone_violations == 0
+        assert np.isfinite(rep.hh_residual_max)
+        assert np.isfinite(rep.mixed_M_residual_max)
