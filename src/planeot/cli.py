@@ -46,8 +46,6 @@ class RunConfig(SolverConfig):
         has_files = self.density_p is not None or self.density_q is not None
         if self.preset is not None and has_files:
             raise ConfigError("preset: give either a preset or two density files, not both")
-        if self.preset is None and not (self.density_p and self.density_q):
-            raise ConfigError("preset: need a preset name or both density_p and density_q")
         if self.preset is not None and self.preset not in PRESETS:
             raise ConfigError(f"preset: unknown preset {self.preset!r}; choose from {sorted(PRESETS)}")
         for key in ("density_p", "density_q"):
@@ -89,12 +87,15 @@ def parse_config(
     for key, default in defaults.items():
         val = given.get(key, default)
         if default is not None:
-            try:
-                val = type(default)(val)
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"{key}: expected {type(default).__name__}, got {val!r}"
-                ) from None
+            # a boolean only where one is due, a number or a string where
+            # one is, and no fraction where a whole number is
+            if (
+                isinstance(val, bool) != isinstance(default, bool)
+                or not isinstance(val, str if isinstance(default, str) else (int, float))
+                or (isinstance(default, int) and not float(val).is_integer())
+            ):
+                raise ConfigError(f"{key}: expected {type(default).__name__}, got {val!r}")
+            val = type(default)(val)
         values[key] = val
     return RunConfig(**values), "oracle" in data
 
@@ -306,6 +307,11 @@ def main(argv: list[str] | None = None) -> int:
             args.command in ("validate", "oracle") or overrides["oracle_atoms"] is not None
         ):
             cfg.oracle = True
+        # validate builds its own instances; the other commands load one
+        if args.command != "validate" and cfg.preset is None and not (
+            cfg.density_p and cfg.density_q
+        ):
+            raise ConfigError("preset: need a preset name or both density_p and density_q")
         if args.command == "solve":
             return run_solve(cfg)
         if args.command == "validate":

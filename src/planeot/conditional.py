@@ -25,7 +25,6 @@ from .errors import DegenerateDensity, OutOfRange
 from .grids import (
     EPS_POS,
     Density2D,
-    Marginal1D,
     ScalarField2D,
     bilinear,
     cumtrapz1d,
@@ -115,31 +114,35 @@ class ConditionalQuantile:
         v = v.reshape(shape)
         return v if shape else float(v)
 
-    def quantile_ds(self, s, conditioning):
-        """Derivative of the quantile in its level argument; strictly positive."""
+    def quantile_ds(self, point, conditioning):
+        """Derivative of the quantile in its level argument; strictly positive.
+
+        ``point`` is the quantile point ``quantile(s, conditioning)``; the
+        derivative there is the conditioning marginal over the density.
+        """
         g, c = np.broadcast_arrays(
-            np.asarray(self.quantile(s, conditioning), dtype=float),
-            np.asarray(conditioning, dtype=float),
+            np.asarray(point, dtype=float), np.asarray(conditioning, dtype=float)
         )
         dens = self._density_at(g, c)
         marg = self.marginal.density_at(c)
         out = marg / dens
         return out if np.ndim(out) else float(out)
 
-    def quantile_dcond(self, s, conditioning):
+    def quantile_dcond(self, point, conditioning):
         """Derivative of the quantile in the conditioning argument.
 
+        ``point`` is the quantile point ``quantile(s, conditioning)``.
         Implicit differentiation of ``F(G, c) = s``: the CDF is differenced
         in the conditioning direction (step = conditioning grid spacing,
         one-sided second order at the domain edges), the primary-direction
         derivative is the conditional density at the point.
         """
-        s_in, c_in = np.broadcast_arrays(
-            np.asarray(s, dtype=float), np.asarray(conditioning, dtype=float)
+        g_in, c_in = np.broadcast_arrays(
+            np.asarray(point, dtype=float), np.asarray(conditioning, dtype=float)
         )
-        shape = s_in.shape
-        g = np.asarray(self.quantile(s_in, c_in), dtype=float).ravel()
-        c = c_in.ravel().astype(float)
+        shape = g_in.shape
+        g = g_in.ravel()
+        c = c_in.ravel()
         cg = self.cond_grid
         h = cg.h
         lo_side = c - h < cg.lo - 1e-12
@@ -168,13 +171,6 @@ class ConditionalQuantile:
         marg = np.asarray(self.marginal.density_at(c), dtype=float)
         out = (-dF * marg / dens).reshape(shape)
         return out if shape else float(out)
-
-    def ellipticity_coefficient(self, s, conditioning):
-        """quantile_ds divided by the conditioning marginal: 1 / d(G, c)."""
-        ds = np.asarray(self.quantile_ds(s, conditioning), dtype=float)
-        marg = np.asarray(self.marginal.density_at(conditioning), dtype=float)
-        out = ds / marg
-        return out if np.ndim(out) else float(out)
 
     def _density_at(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
         if self._inv_axis == 0:
@@ -207,6 +203,7 @@ def ellipticity_margin(
         levels = np.linspace(0.0, 1.0, n)
         conds = cq.cond_grid.nodes
         S, C = np.meshgrid(levels, conds, indexing="ij")
-        coeff = cq.ellipticity_coefficient(S, C)
+        g = cq.quantile(S, C)
+        coeff = cq.quantile_ds(g, C) / cq.marginal.density_at(C)
         lo = min(lo, float(np.min(coeff)))
     return lo

@@ -208,6 +208,15 @@ def _conditional_levels(q: Density2D, axis: int) -> np.ndarray:
     return np.clip(levels, 0.0, 1.0)
 
 
+def _levels_and_points(inst: Instance, q: Density2D):
+    """Conditional levels U, V of ``q`` as (level, conditioning grid, quantile)."""
+    X = np.broadcast_to(q.gx.nodes[:, None], q.values.shape)
+    Y = np.broadcast_to(q.gy.nodes[None, :], q.values.shape)
+    U = _conditional_levels(q, axis=0)
+    V = _conditional_levels(q, axis=1)
+    return (U, Y, inst.cq_G1_tilde.quantile(U, Y)), (V, X, inst.cq_G2.quantile(V, X))
+
+
 def objective(inst: Instance, cand: CandidateQ) -> float:
     """The coupling objective of an admissible density.
 
@@ -217,14 +226,9 @@ def objective(inst: Instance, cand: CandidateQ) -> float:
     """
     _check_feasible(cand)
     q = cand.q
-    X = q.gx.nodes[:, None]
-    Y = q.gy.nodes[None, :]
-    U = _conditional_levels(q, axis=0)
-    G_t = inst.cq_G1_tilde.quantile(U, np.broadcast_to(Y, U.shape))
-    term1 = trapz2d((X - G_t) ** 2 * q.values, q.gx.h, q.gy.h)
-    V = _conditional_levels(q, axis=1)
-    G_v = inst.cq_G2.quantile(V, np.broadcast_to(X, V.shape))
-    term2 = trapz2d((Y - G_v) ** 2 * q.values, q.gx.h, q.gy.h)
+    (_, Y, gU), (_, X, gV) = _levels_and_points(inst, q)
+    term1 = trapz2d((X - gU) ** 2 * q.values, q.gx.h, q.gy.h)
+    term2 = trapz2d((Y - gV) ** 2 * q.values, q.gx.h, q.gy.h)
     return float(term1 + term2)
 
 
@@ -250,24 +254,19 @@ def split_check(inst: Instance, coupling_sample: np.ndarray) -> float:
 
 def _m_pieces(inst: Instance, cand: CandidateQ):
     """Boundary curves of the potential M and the double integral of its integrand."""
-    q = cand.q
-    gx, gy = q.gx, q.gy
-    U = _conditional_levels(q, axis=0)
-    V = _conditional_levels(q, axis=1)
-    # boundary integrals along the two low edges
-    g_bottom = inst.cq_G1_tilde.quantile(U[:, 0], np.full(gx.n, gy.lo))
-    b_x = -2.0 * cumtrapz1d(g_bottom, gx.h)
-    g_left = inst.cq_G2.quantile(V[0, :], np.full(gy.n, gx.lo))
-    b_y = -2.0 * cumtrapz1d(g_left, gy.h)
+    gx, gy = cand.q.gx, cand.q.gy
+    (U, Yg, gU), (V, Xg, gV) = _levels_and_points(inst, cand.q)
+    # boundary integrals along the two low edges: the quantile points of
+    # the first column and the first row
+    b_x = -2.0 * cumtrapz1d(gU[:, 0], gx.h)
+    b_y = -2.0 * cumtrapz1d(gV[0, :], gy.h)
     # interior integrand: total derivatives of the two quantile composites
-    Xg = np.broadcast_to(gx.nodes[:, None], U.shape)
-    Yg = np.broadcast_to(gy.nodes[None, :], U.shape)
     dU_dy = _d1_edge3(U, gy.h, axis=1)
-    d1 = inst.cq_G1_tilde.quantile_ds(U, Yg) * dU_dy + inst.cq_G1_tilde.quantile_dcond(
-        U, Yg
+    d1 = inst.cq_G1_tilde.quantile_ds(gU, Yg) * dU_dy + inst.cq_G1_tilde.quantile_dcond(
+        gU, Yg
     )
     dV_dx = _d1_edge3(V, gx.h, axis=0)
-    d2 = inst.cq_G2.quantile_ds(V, Xg) * dV_dx + inst.cq_G2.quantile_dcond(V, Xg)
+    d2 = inst.cq_G2.quantile_ds(gV, Xg) * dV_dx + inst.cq_G2.quantile_dcond(gV, Xg)
     inner = cumtrapz1d(cumtrapz1d(d1 + d2, gx.h, axis=0), gy.h, axis=1)
     return b_x, b_y, inner
 

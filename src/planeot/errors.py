@@ -41,10 +41,6 @@ class LinearSolveDiverged(PlaneOTError):
     """The sparse linear solver failed to reach the residual tolerance."""
 
 
-class PicardStalled(PlaneOTError):
-    """Picard iteration hit the iteration cap before the update tolerance."""
-
-
 class NegativeMassExcessive(PlaneOTError):
     """Density recovery had to floor away more than the allowed mass."""
 

@@ -142,14 +142,11 @@ def _marginal_tables(inst: Instance, gx: Grid1D, gy: Grid1D):
     return f1, f2t, logd1, logd2t
 
 
-def _derivative_ratios(inst: Instance, F: ScalarField2D) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped level fields v = F'_x/f1 and u = F'_y/f2~."""
+def _ratios_and_points(inst: Instance, F: ScalarField2D, f1: np.ndarray, f2t: np.ndarray):
+    """Clamped levels v = F'_x/f1, u = F'_y/f2~ as (level, conditioning grid, quantile)."""
     gx, gy = F.gx, F.gy
-    f1, f2t, _, _ = _marginal_tables(inst, gx, gy)
-    Fx = _d1_edge3(F.values, gx.h, axis=0)
-    Fy = _d1_edge3(F.values, gy.h, axis=1)
-    v = Fx / f1[:, None]
-    u = Fy / f2t[None, :]
+    v = _d1_edge3(F.values, gx.h, axis=0) / f1[:, None]
+    u = _d1_edge3(F.values, gy.h, axis=1) / f2t[None, :]
     worst = max(
         float(max(-v.min(), v.max() - 1.0)), float(max(-u.min(), u.max() - 1.0))
     )
@@ -157,7 +154,10 @@ def _derivative_ratios(inst: Instance, F: ScalarField2D) -> tuple[np.ndarray, np
         raise QuantileRangeError(
             f"derivative ratio left [0, 1] by {worst:.3e} (guard {RATIO_GUARD:.1e})"
         )
-    return np.clip(v, 0.0, 1.0), np.clip(u, 0.0, 1.0)
+    v, u = np.clip(v, 0.0, 1.0), np.clip(u, 0.0, 1.0)
+    Xg = np.broadcast_to(gx.nodes[:, None], v.shape)
+    Yg = np.broadcast_to(gy.nodes[None, :], u.shape)
+    return (v, Xg, inst.cq_G2.quantile(v, Xg)), (u, Yg, inst.cq_G1_tilde.quantile(u, Yg))
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +173,14 @@ def assemble_coefficients(inst: Instance, F: ScalarField2D) -> PdeCoefficients:
     """
     gx, gy = F.gx, F.gy
     f1, f2t, logd1, logd2t = _marginal_tables(inst, gx, gy)
-    v, u = _derivative_ratios(inst, F)
+    (v, Xg, gv), (u, Yg, gu) = _ratios_and_points(inst, F, f1, f2t)
     Fx = v * f1[:, None]
     Fy = u * f2t[None, :]
-    Xg = np.broadcast_to(gx.nodes[:, None], v.shape)
-    Yg = np.broadcast_to(gy.nodes[None, :], u.shape)
-    A = inst.cq_G2.quantile_ds(v, Xg) / f1[:, None]
-    B = inst.cq_G1_tilde.quantile_ds(u, Yg) / f2t[None, :]
+    A = inst.cq_G2.quantile_ds(gv, Xg) / f1[:, None]
+    B = inst.cq_G1_tilde.quantile_ds(gu, Yg) / f2t[None, :]
     C = (
-        -inst.cq_G1_tilde.quantile_dcond(u, Yg)
-        - inst.cq_G2.quantile_dcond(v, Xg)
+        -inst.cq_G1_tilde.quantile_dcond(gu, Yg)
+        - inst.cq_G2.quantile_dcond(gv, Xg)
         + B * logd2t[None, :] * Fy
         + A * logd1[:, None] * Fx
     )
@@ -353,16 +351,15 @@ def hh_residual(inst: Instance, F: ScalarField2D) -> ScalarField2D:
     the level and conditioning derivatives. Edge entries are zero.
     """
     gx, gy = F.gx, F.gy
-    v, u = _derivative_ratios(inst, F)
-    Xg = np.broadcast_to(gx.nodes[:, None], v.shape)
-    Yg = np.broadcast_to(gy.nodes[None, :], u.shape)
+    f1, f2t, _, _ = _marginal_tables(inst, gx, gy)
+    (v, Xg, gv), (u, Yg, gu) = _ratios_and_points(inst, F, f1, f2t)
     du_dy = _d1(u, gy.h, axis=1)
     dv_dx = _d1(v, gx.h, axis=0)
     res = (
-        inst.cq_G1_tilde.quantile_ds(u, Yg) * du_dy
-        + inst.cq_G1_tilde.quantile_dcond(u, Yg)
-        + inst.cq_G2.quantile_ds(v, Xg) * dv_dx
-        + inst.cq_G2.quantile_dcond(v, Xg)
+        inst.cq_G1_tilde.quantile_ds(gu, Yg) * du_dy
+        + inst.cq_G1_tilde.quantile_dcond(gu, Yg)
+        + inst.cq_G2.quantile_ds(gv, Xg) * dv_dx
+        + inst.cq_G2.quantile_dcond(gv, Xg)
     )
     out = np.zeros_like(res)
     out[1:-1, 1:-1] = res[1:-1, 1:-1]

@@ -82,12 +82,12 @@ class TestQuantile:
 class TestQuantileDs:
     def test_uniform_shifted_is_one(self):
         cq = ConditionalQuantile(uniform_shifted(), FIRST_GIVEN_SECOND)
-        assert abs(cq.quantile_ds(0.4, 1.3) - 1.0) < 1e-10
+        assert abs(cq.quantile_ds(cq.quantile(0.4, 1.3), 1.3) - 1.0) < 1e-10
 
     def test_product_independent_of_conditioning(self, instances):
         inst = instances("product-gauss", 65)
         cq = inst.cq_G1
-        vals = [cq.quantile_ds(0.37, y) for y in (0.1, 0.5, 0.9)]
+        vals = [cq.quantile_ds(cq.quantile(0.37, y), y) for y in (0.1, 0.5, 0.9)]
         assert np.max(np.abs(np.diff(vals))) < 1e-10
 
     def test_bilinear_chain_value(self):
@@ -96,27 +96,28 @@ class TestQuantileDs:
         root = brentq(lambda x: bilinear_cdf(x, 0.75) - 0.5, 0.0, 1.0, xtol=1e-12)
         f_at = 1.0 + 0.5 * (2 * root - 1) * (2 * 0.75 - 1)
         # conditioning marginal is uniform, so ds = 1 / f(G, y)
-        assert abs(cq.quantile_ds(0.5, 0.75) - 1.0 / f_at) < 5e-4
+        assert abs(cq.quantile_ds(cq.quantile(0.5, 0.75), 0.75) - 1.0 / f_at) < 5e-4
 
 
 class TestQuantileDcond:
     def test_product_zero(self, instances):
         inst = instances("product-gauss", 65)
+        cq = inst.cq_G1
         for s, y in [(0.2, 0.3), (0.8, 0.7)]:
-            assert abs(inst.cq_G1.quantile_dcond(s, y)) < 1e-10
+            assert abs(cq.quantile_dcond(cq.quantile(s, y), y)) < 1e-10
 
     def test_uniform_zero(self):
         g = Grid1D(0.0, 1.0, 21)
         d = po.normalize(Density2D(g, g, np.ones((21, 21))))
         cq = ConditionalQuantile(d, FIRST_GIVEN_SECOND)
-        assert abs(cq.quantile_dcond(0.6, 0.4)) < 1e-12
+        assert abs(cq.quantile_dcond(cq.quantile(0.6, 0.4), 0.4)) < 1e-12
 
     def test_bilinear_symbolic(self):
         # at (s, y) = (0.5, 0.5): G = 0.5, dF/dy = x^2 - x = -0.25,
         # dF/dx = f(0.5, 0.5) = 1, so dG/dcond = 0.25
         d = bilinear_density(129)
         cq = ConditionalQuantile(d, FIRST_GIVEN_SECOND)
-        got = cq.quantile_dcond(0.5, 0.5)
+        got = cq.quantile_dcond(cq.quantile(0.5, 0.5), 0.5)
         assert abs(got - 0.25) < 5e-4
         # numeric cross-check by differencing the closed-form inverse
         eps = 1e-5
@@ -177,9 +178,13 @@ class TestProperties:
         delta = 1e-4
         for s in (0.25, 0.5, 0.75):
             for y in (0.3, 0.6):
-                ds = cq.quantile_ds(s, y)
+                g = cq.quantile(s, y)
+                ds = cq.quantile_ds(g, y)
                 fd = (cq.quantile(s + delta, y) - cq.quantile(s - delta, y)) / (2 * delta)
                 assert abs(ds - fd) <= max(1e-4, 1e-2 * abs(ds))
+                dc = cq.quantile_dcond(g, y)
+                fd = (cq.quantile(s, y + delta) - cq.quantile(s, y - delta)) / (2 * delta)
+                assert abs(dc - fd) <= max(1e-4, 1e-2 * abs(dc))
 
     def test_product_factorization_exact(self, instances):
         inst = instances("product-gauss", 33)

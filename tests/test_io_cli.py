@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -101,6 +102,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"^{key}:"):
             parse_config(None, {"preset": "uniform", key: value})
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("oracle", "false"), ("oracle", 1), ("nx", 65.9), ("nx", True), ("nx", "65"),
+            ("omega", "0.5"), ("out", None),
+        ],
+    )
+    def test_mistyped_value_rejected(self, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "uniform", key: value}))
+        with pytest.raises(ConfigError, match=f"^{key}:"):
+            parse_config(str(path), {})
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "uniform", "bogus": 1}))
@@ -169,10 +183,22 @@ class TestCliSolve:
                     for key, value in list(vars(mod).items()):
                         if value is original:
                             monkeypatch.setattr(mod, key, counted)
+        # each level field is inverted once per assembly, hh, objective and M
+        original_quantile = po.ConditionalQuantile.quantile
+
+        def counted_quantile(self, *args, **kwargs):
+            counts["quantile"] = counts.get("quantile", 0) + 1
+            return original_quantile(self, *args, **kwargs)
+
+        monkeypatch.setattr(po.ConditionalQuantile, "quantile", counted_quantile)
         rc = main(["solve", "--preset", "bilinear", "--nx", "33", "--ny", "33",
                    "--out", str(tmp_path / "run")])
         assert rc == 0
+        report = (tmp_path / "run" / "report.txt").read_text()
+        iterations = int(re.search(r"^iterations = (\d+)$", report, re.M).group(1))
+        quantile_calls = counts.pop("quantile")
         assert counts == {"hh_residual": 1, "recover_density": 1, "M_field": 1}
+        assert quantile_calls == 2 * iterations + 6
 
     def test_bad_file_exit_one(self, tmp_path, capsys):
         rc = main(["solve", "--density-p", "/missing.dat", "--density-q", "/missing2.dat"])
@@ -265,6 +291,19 @@ class TestCliOther:
 
 
 class TestValidateCli:
+    def test_no_preset_needed(self, tmp_path, monkeypatch, capsys):
+        # validate builds its own instances, so it needs no inputs
+        monkeypatch.setattr("planeot.cli.run_criteria", lambda **kwargs: [])
+        out = tmp_path / "v"
+        assert main(["validate", "--out", str(out)]) == 0
+        assert (out / "validate_report.txt").exists()
+
+    def test_solve_still_needs_inputs(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["solve", "--out", str(out)]) == 1
+        assert "preset:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_oracle_off_skips(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(
