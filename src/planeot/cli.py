@@ -172,7 +172,10 @@ def run_solve(cfg: RunConfig) -> int:
         ]
     report_text = gridio.render_report(pairs)
     _emit(cfg, "report.txt", report_text)
-    return 0 if report.converged else 2
+    if report.converged:
+        return 0
+    sys.stderr.write(f"not converged: {report.stop_reason}\n")
+    return 2
 
 
 def run_validate(cfg: RunConfig) -> int:

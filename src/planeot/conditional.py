@@ -12,7 +12,8 @@ both strictly increasing in their first argument, so the inverse maps
 (quantiles) exist. Under trapezoid quadrature every conditional CDF is
 piecewise linear along its inverted axis, so quantile evaluation is
 exact for the discrete model: bracket the level, then solve the linear
-piece.
+piece. The bracket is found by bisection, O(log n) per query, memory
+linear in queries.
 
 All evaluators accept scalars or broadcastable arrays and are pure.
 """
@@ -86,29 +87,49 @@ class ConditionalQuantile:
             )
         return np.clip(s, 0.0, 1.0)
 
-    def _profiles(self, cond: np.ndarray) -> np.ndarray:
-        """Per-query CDF profiles along the inverted axis, shape (n_inv, N)."""
+    def quantile(self, s, conditioning):
+        """Inverse conditional CDF: the point where cond_cdf reaches level ``s``.
+
+        Each query is bracketed by bisection over its own CDF column, blended
+        between the two conditioning nodes around it: O(log n) per query,
+        memory linear in queries (one gathered table value per query and
+        step). The blend is non-decreasing along the column, so the bracket
+        is the count of column values at or below the level.
+        """
+        s_in, c_in = np.broadcast_arrays(
+            np.asarray(s, dtype=float), np.asarray(conditioning, dtype=float)
+        )
+        shape = s_in.shape
+        sq = self._check_levels(s_in.ravel())
+        cond = c_in.ravel()
         cg = self.cond_grid
         if not np.all(cg.contains(cond)):
             raise OutOfRange("conditioning value outside the grid domain")
         t = np.clip((cond - cg.lo) / cg.h, 0.0, cg.n - 1.0)
         j = np.minimum(t.astype(int), cg.n - 2)
         w = t - j
-        return self._tbl[:, j] * (1.0 - w) + self._tbl[:, j + 1] * w
+        wc = 1.0 - w
+        j1 = j + 1
+        tbl = self._tbl
 
-    def quantile(self, s, conditioning):
-        """Inverse conditional CDF: the point where cond_cdf reaches level ``s``."""
-        s_in, c_in = np.broadcast_arrays(
-            np.asarray(s, dtype=float), np.asarray(conditioning, dtype=float)
-        )
-        shape = s_in.shape
-        sq = self._check_levels(s_in.ravel())
-        prof = self._profiles(c_in.ravel())
+        def column(k):
+            # row k of each query's blended column; rounds exactly as
+            # tbl[k, j] * (1 - w) + tbl[k, j + 1] * w, so ties at knots hold
+            out = tbl[k, j] * wc
+            out += tbl[k, j1] * w
+            return out
+
         n = self.inv_grid.n
-        idx = np.clip((prof <= sq[None, :]).sum(axis=0) - 1, 0, n - 2)
-        cols = np.arange(sq.size)
-        c0 = prof[idx, cols]
-        c1 = prof[idx + 1, cols]
+        # count = number of column values <= level; step p tries adding 2**p
+        count = np.zeros(sq.size, dtype=np.intp)
+        for p in range(n.bit_length() - 1, -1, -1):
+            cand = count + (1 << p)
+            probe = np.minimum(cand, n) - 1
+            take = (cand <= n) & (column(probe) <= sq)
+            np.copyto(count, cand, where=take)
+        idx = np.clip(count - 1, 0, n - 2)
+        c0 = column(idx)
+        c1 = column(idx + 1)
         frac = (sq - c0) / np.maximum(c1 - c0, 1e-300)
         v = self.inv_grid.nodes[idx] + np.clip(frac, 0.0, 1.0) * self.inv_grid.h
         v = v.reshape(shape)

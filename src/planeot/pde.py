@@ -74,7 +74,8 @@ class SolveReport:
 
     ``candidate`` and ``M`` are None when recovery floored away too much
     mass; ``hh`` is None when the last iterate's derivative ratios left
-    [0, 1] beyond the guard.
+    [0, 1] beyond the guard. ``stop_reason`` says why an unconverged solve
+    stopped (the ratio guard or a stall) and is None when it converged.
     """
 
     iterations: int = 0
@@ -89,6 +90,7 @@ class SolveReport:
     candidate: CandidateQ | None = None
     hh: ScalarField2D | None = None
     M: ScalarField2D | None = None
+    stop_reason: str | None = None
 
 
 class PdeCoefficients:
@@ -281,7 +283,8 @@ def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[ScalarField2D, Solv
     for k in range(1, cfg.picard_max_iters + 1):
         try:
             coeffs = assemble_coefficients(inst, F)
-        except QuantileRangeError:
+        except QuantileRangeError as e:
+            report.stop_reason = f"ratio guard at Picard iteration {k}: {e}"
             break
         if k == 1 and coeffs.margin <= 1e-8:
             warnings.warn(
@@ -301,6 +304,11 @@ def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[ScalarField2D, Solv
         if update <= cfg.picard_tol:
             report.converged = True
             break
+    else:
+        report.stop_reason = (
+            f"Picard stall: {cfg.picard_max_iters} iterations, last update norm "
+            f"{report.final_update_norm:.3e} above tolerance {cfg.picard_tol:.1e}"
+        )
     report.ellipticity_margin = float(ell)
     report.monotone_violations = _count_monotone_violations(F)
     try:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -26,6 +28,27 @@ def uniform_shifted(n=33):
 # closed-form conditional CDF of the bilinear density: F1(x|y) = x + 0.5(2y-1)(x^2-x)
 def bilinear_cdf(x, y, alpha=0.5):
     return x + alpha * (2 * y - 1) * (x**2 - x)
+
+
+def dense_quantile(cq, s, conditioning):
+    """Reference quantile: materialise every query's blended CDF column, count crossings."""
+    s_in, c_in = np.broadcast_arrays(
+        np.asarray(s, dtype=float), np.asarray(conditioning, dtype=float)
+    )
+    sq = np.clip(s_in.ravel(), 0.0, 1.0)
+    cg = cq.cond_grid
+    t = np.clip((c_in.ravel() - cg.lo) / cg.h, 0.0, cg.n - 1.0)
+    j = np.minimum(t.astype(int), cg.n - 2)
+    w = t - j
+    prof = cq._tbl[:, j] * (1.0 - w) + cq._tbl[:, j + 1] * w
+    n = cq.inv_grid.n
+    idx = np.clip((prof <= sq[None, :]).sum(axis=0) - 1, 0, n - 2)
+    cols = np.arange(sq.size)
+    c0 = prof[idx, cols]
+    c1 = prof[idx + 1, cols]
+    frac = (sq - c0) / np.maximum(c1 - c0, 1e-300)
+    v = cq.inv_grid.nodes[idx] + np.clip(frac, 0.0, 1.0) * cq.inv_grid.h
+    return v.reshape(s_in.shape)
 
 
 class TestCondCdf:
@@ -77,6 +100,62 @@ class TestQuantile:
         assert abs(cq.quantile(1.0 + 5e-10, 1.5) - 2.0) < 1e-9
         with pytest.raises(OutOfRange):
             cq.quantile(1.01, 1.5)
+
+
+    def test_matches_dense_reference(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hyp.settings(max_examples=80, deadline=None, database=None)
+        @hyp.given(st.data())
+        def check(data):
+            nx = data.draw(st.integers(3, 9), label="nx")
+            ny = data.draw(st.integers(3, 9), label="ny")
+            vals = data.draw(
+                st.lists(st.floats(0.05, 20.0), min_size=nx * ny, max_size=nx * ny),
+                label="density",
+            )
+            which = data.draw(st.sampled_from([FIRST_GIVEN_SECOND, SECOND_GIVEN_FIRST]))
+            d = Density2D(Grid1D(0.0, 1.0, nx), Grid1D(1.0, 2.0, ny),
+                          np.reshape(vals, (nx, ny)))
+            cq = ConditionalQuantile(d, which)
+            n_inv, n_cond = cq._tbl.shape
+            cg = cq.cond_grid
+            levels, conds = [], []
+            for _ in range(data.draw(st.integers(1, 24), label="queries")):
+                k = data.draw(st.integers(0, n_inv - 1))
+                j = data.draw(st.integers(0, n_cond - 1))
+                # levels include the table knot _tbl[k, j], conditioning its node j
+                s = data.draw(st.one_of(
+                    st.sampled_from([0.0, 1.0, -5e-10, 1.0 + 5e-10, float(cq._tbl[k, j])]),
+                    st.floats(0.0, 1.0),
+                ))
+                c = data.draw(st.one_of(
+                    st.just(float(cg.nodes[j])), st.floats(cg.lo, cg.hi)
+                ))
+                levels.append(s)
+                conds.append(c)
+            got = cq.quantile(np.array(levels), np.array(conds))
+            assert np.array_equal(got, dense_quantile(cq, levels, conds))
+            one = cq.quantile(levels[0], conds[0])
+            assert type(one) is float
+            assert one == float(dense_quantile(cq, levels[0], conds[0]))
+
+        check()
+
+    def test_memory_linear_in_queries(self, instances):
+        inst = instances("product-gauss", 129)
+        cq = inst.cq_G2
+        levels = np.random.default_rng(3).random((129, 129))
+        conds = np.broadcast_to(cq.cond_grid.nodes[:, None], levels.shape)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cq.quantile(levels, conds)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / levels.size < 256
 
 
 class TestQuantileDs:

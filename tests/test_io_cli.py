@@ -154,6 +154,8 @@ class TestCliSolve:
         assert rc == 2
         report = (tmp_path / "run" / "report.txt").read_text()
         assert "converged = false" in report
+        err = capsys.readouterr().err
+        assert "stall" in err and "last update norm" in err
 
     def test_ratio_guard_exit_two(self, tmp_path, capsys):
         # undamped steps push product-gauss's derivative ratios out of
@@ -165,6 +167,8 @@ class TestCliSolve:
         report = (out / "report.txt").read_text()
         assert "converged = false" in report
         assert "hh_residual_max = nan" in report
+        err = capsys.readouterr().err
+        assert "ratio" in err and "guard" in err
         gridio.read_field(str(out / "F.dat"))
         assert not (out / "hh_residual.dat").exists()
 

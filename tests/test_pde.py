@@ -155,6 +155,8 @@ class TestPicard:
         assert rep.iterations == 1
         assert np.isfinite(rep.final_update_norm)
         assert np.isfinite(rep.cost)
+        assert rep.stop_reason.startswith("Picard stall")
+        assert f"{rep.final_update_norm:.3e}" in rep.stop_reason
 
     def test_boundary_held_exactly(self, solves, instances):
         inst, F, rep, _ = solves("bilinear", 33)
@@ -232,6 +234,7 @@ class TestRecoverDensity:
     def test_report_fields_populated(self, solves):
         _, _, rep, _ = solves("bilinear", 65)
         assert rep.converged is True
+        assert rep.stop_reason is None
         assert rep.ellipticity_margin > 0.0
         assert rep.monotone_violations == 0
         assert np.isfinite(rep.hh_residual_max)
