@@ -2,7 +2,8 @@
 
 Configuration comes from an optional JSON file plus flag overrides; the
 fully-resolved form is echoed to the output directory so a run can be
-reproduced exactly. Exit codes: 0 success, 1 error, 2 non-convergence.
+reproduced exactly. Exit codes: 0 success, 1 error, 2 a solve that stopped
+short of a full result (non-convergence or a failed density recovery).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import io as gridio
 from .conditional import ellipticity_margin
 from .cost import build_instance, density_moments, krw_1d_distance, shift_cost_relation
 from .errors import ConfigError, PlaneOTError
-from .grids import Density2D, Grid1D
+from .grids import Density2D, Grid1D, Marginal1D
 from .oracle import atomize, exact_ot, exact_ot_1d
 from .pde import SolverConfig, picard_solve
 from .presets import PRESETS, build_preset
@@ -53,9 +54,6 @@ class RunConfig(SolverConfig):
             if path is not None and not os.path.exists(path):
                 raise ConfigError(f"{key}: file {path!r} does not exist")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def parse_config(
     config_path: str | None = None, overrides: dict | None = None
@@ -64,8 +62,9 @@ def parse_config(
 
     Returns the config and whether the file set ``oracle``. Raises
     ConfigError with the offending field named for anything malformed:
-    unknown keys, bad types, out-of-range solver settings, grids below
-    the minimum of 9, unknown presets, missing density files.
+    unknown keys, bad types (the preset and density paths take a string
+    or null), out-of-range solver settings, grids below the minimum of 9,
+    unknown presets, missing density files.
     """
     data = {}
     if config_path is not None:
@@ -86,15 +85,19 @@ def parse_config(
     values = {}
     for key, default in defaults.items():
         val = given.get(key, default)
-        if default is not None:
+        if default is None:
+            # the preset and the density paths: a string or nothing
+            if val is not None and not isinstance(val, str):
+                raise ConfigError(f"{key}: expected a string or null, got {val!r}")
+        elif (
             # a boolean only where one is due, a number or a string where
             # one is, and no fraction where a whole number is
-            if (
-                isinstance(val, bool) != isinstance(default, bool)
-                or not isinstance(val, str if isinstance(default, str) else (int, float))
-                or (isinstance(default, int) and not float(val).is_integer())
-            ):
-                raise ConfigError(f"{key}: expected {type(default).__name__}, got {val!r}")
+            isinstance(val, bool) != isinstance(default, bool)
+            or not isinstance(val, str if isinstance(default, str) else (int, float))
+            or (isinstance(default, int) and not float(val).is_integer())
+        ):
+            raise ConfigError(f"{key}: expected {type(default).__name__}, got {val!r}")
+        else:
             val = type(default)(val)
         values[key] = val
     return RunConfig(**values), "oracle" in data
@@ -123,18 +126,20 @@ def _load_instance(cfg: RunConfig):
     return build_instance(f, second), None
 
 
-def _write_resolved(cfg: RunConfig):
+def _start_report(cfg: RunConfig) -> list:
+    """Echo the resolved config to the output directory; return its report pairs."""
+    resolved = asdict(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     with open(os.path.join(cfg.out, "resolved_config.json"), "w") as fh:
-        json.dump(cfg.as_dict(), fh, indent=2, sort_keys=True)
+        json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return [(f"config.{k}", v) for k, v in sorted(resolved.items())]
 
 
 def run_solve(cfg: RunConfig) -> int:
-    _write_resolved(cfg)
+    pairs = _start_report(cfg)
     inst, q_orig = _load_instance(cfg)
     F, report = picard_solve(inst, cfg)
-    pairs = [(f"config.{k}", v) for k, v in sorted(cfg.as_dict().items())]
     pairs += [
         ("iterations", report.iterations),
         ("converged", report.converged),
@@ -172,14 +177,14 @@ def run_solve(cfg: RunConfig) -> int:
         ]
     report_text = gridio.render_report(pairs)
     _emit(cfg, "report.txt", report_text)
-    if report.converged:
+    if report.stop_reason is None:
         return 0
-    sys.stderr.write(f"not converged: {report.stop_reason}\n")
+    sys.stderr.write(f"solve stopped: {report.stop_reason}\n")
     return 2
 
 
 def run_validate(cfg: RunConfig) -> int:
-    _write_resolved(cfg)
+    pairs = _start_report(cfg)
     results = run_criteria(
         seed=cfg.seed,
         oracle=cfg.oracle,
@@ -189,7 +194,6 @@ def run_validate(cfg: RunConfig) -> int:
     n_pass = sum(r.status == "PASS" for r in results)
     n_fail = sum(r.status == "FAIL" for r in results)
     n_skip = sum(r.status == "SKIP" for r in results)
-    pairs = [(f"config.{k}", v) for k, v in sorted(cfg.as_dict().items())]
     pairs += [
         ("criteria_total", len(results)),
         ("criteria_passed", n_pass),
@@ -203,27 +207,26 @@ def run_validate(cfg: RunConfig) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _atoms_1d(m: Marginal1D):
+    """(weights, centers) of 1000 equal cells carrying the marginal's mass."""
+    atoms = 1000
+    lo, hi = m.grid.lo, m.grid.hi
+    centers = lo + (np.arange(atoms) + 0.5) * (hi - lo) / atoms
+    edges = lo + np.arange(atoms + 1) * (hi - lo) / atoms
+    w = np.maximum(np.diff(m.cdf_at(edges)), 0.0)
+    w /= w.sum()
+    return w, centers
+
+
 def run_distance1d(cfg: RunConfig, axis: str) -> int:
-    _write_resolved(cfg)
+    pairs = _start_report(cfg)
     inst, _ = _load_instance(cfg)
     m = inst.f1 if axis == "x" else inst.f2
     mt = inst.f1_tilde if axis == "x" else inst.f2_tilde
     dist = krw_1d_distance(m, mt)
-    pairs = [(f"config.{k}", v) for k, v in sorted(cfg.as_dict().items())]
     pairs += [("axis", axis), ("distance1d", dist), ("distance1d_squared", dist**2)]
     if cfg.oracle:
-        atoms = 1000
-        lo, hi = m.grid.lo, m.grid.hi
-        centers = lo + (np.arange(atoms) + 0.5) * (hi - lo) / atoms
-        edges = lo + np.arange(atoms + 1) * (hi - lo) / atoms
-        w_src = np.diff(m.cdf_at(edges))
-        w_src = np.maximum(w_src, 0.0); w_src /= w_src.sum()
-        lo_t, hi_t = mt.grid.lo, mt.grid.hi
-        centers_t = lo_t + (np.arange(atoms) + 0.5) * (hi_t - lo_t) / atoms
-        edges_t = lo_t + np.arange(atoms + 1) * (hi_t - lo_t) / atoms
-        w_dst = np.diff(mt.cdf_at(edges_t))
-        w_dst = np.maximum(w_dst, 0.0); w_dst /= w_dst.sum()
-        c1d = exact_ot_1d(w_src, centers, w_dst, centers_t)
+        c1d = exact_ot_1d(*_atoms_1d(m), *_atoms_1d(mt))
         pairs += [
             ("oracle_cost_1d", c1d),
             ("oracle_rel_gap", abs(dist**2 - c1d) / max(c1d, 1e-300)),
@@ -233,12 +236,11 @@ def run_distance1d(cfg: RunConfig, axis: str) -> int:
 
 
 def run_oracle(cfg: RunConfig) -> int:
-    _write_resolved(cfg)
+    pairs = _start_report(cfg)
     inst, q_orig = _load_instance(cfg)
     src = atomize(inst.f, cfg.oracle_atoms, cfg.oracle_atoms)
     dst = atomize(inst.f_tilde, cfg.oracle_atoms, cfg.oracle_atoms)
     plan, cost = exact_ot(src, dst)
-    pairs = [(f"config.{k}", v) for k, v in sorted(cfg.as_dict().items())]
     pairs += [
         ("oracle_atoms", cfg.oracle_atoms),
         ("oracle_cost", cost),
@@ -321,9 +323,7 @@ def main(argv: list[str] | None = None) -> int:
             return run_validate(cfg)
         if args.command == "distance1d":
             return run_distance1d(cfg, args.axis)
-        if args.command == "oracle":
-            return run_oracle(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return run_oracle(cfg)
     except (PlaneOTError, ValueError) as e:
         sys.stderr.write(f"error: {type(e).__name__}: {e}\n")
         return 1

@@ -46,7 +46,6 @@ class ConditionalQuantile:
         if which not in (FIRST_GIVEN_SECOND, SECOND_GIVEN_FIRST):
             raise ValueError(f"unknown conditioning mode {which!r}")
         self.source = source
-        self.which = which
         if which == FIRST_GIVEN_SECOND:
             self._inv_axis = 0
             self.inv_grid = source.gx
@@ -62,10 +61,9 @@ class ConditionalQuantile:
         # normalize each conditioning line so the CDF ends exactly at 1
         table = raw / np.expand_dims(line_mass, self._inv_axis)
         self.cdf_table = ScalarField2D(source.gx, source.gy, table)
-        # table transposed to (inverted axis, conditioning axis) for inversion
-        self._tbl = np.ascontiguousarray(
-            table if self._inv_axis == 0 else table.T
-        )
+        # the same table viewed as (inverted axis, conditioning axis)
+        vals = self.cdf_table.values
+        self._tbl = vals if self._inv_axis == 0 else vals.T
 
     # -- forward -----------------------------------------------------------
 
@@ -206,22 +204,17 @@ class ConditionalQuantile:
         return dens
 
 
-def ellipticity_margin(
-    cq_tilde_1: ConditionalQuantile,
-    cq_2: ConditionalQuantile,
-    n_levels: int | None = None,
-) -> float:
+def ellipticity_margin(cq_tilde_1: ConditionalQuantile, cq_2: ConditionalQuantile) -> float:
     """Empirical lower bound of the two elliptic coefficient fields.
 
     Scans ``1/f~(G~(1, s, y), y)`` and ``1/f(x, G(2, x, t))`` over a level
-    grid times every conditioning node and returns the minimum. A
-    non-positive return is a valid, alarming answer; callers decide how
-    loudly to warn.
+    grid with as many levels as the inverted axis has nodes, times every
+    conditioning node, and returns the minimum. A non-positive return is a
+    valid, alarming answer; callers decide how loudly to warn.
     """
     lo = np.inf
     for cq in (cq_tilde_1, cq_2):
-        n = n_levels or cq.inv_grid.n
-        levels = np.linspace(0.0, 1.0, n)
+        levels = np.linspace(0.0, 1.0, cq.inv_grid.n)
         conds = cq.cond_grid.nodes
         S, C = np.meshgrid(levels, conds, indexing="ij")
         g = cq.quantile(S, C)

@@ -53,8 +53,9 @@ class Instance:
     """A source/target density pair with marginals and quantile evaluators.
 
     ``f`` lives on [0,1] x [0,1] and ``f_tilde`` on [1,2] x [1,2]; both are
-    normalized at construction. The four conditional-quantile evaluators
-    cover both families of both densities.
+    normalized at construction. The two conditional-quantile evaluators
+    are the families the elliptic equation reads: ``cq_G2`` inverts ``f``
+    along y given x, ``cq_G1_tilde`` inverts ``f~`` along x given y.
     """
 
     def __init__(self, f: Density2D, f_tilde: Density2D):
@@ -72,10 +73,8 @@ class Instance:
         self.f2 = marginal(self.f, "y")
         self.f1_tilde = marginal(self.f_tilde, "x")
         self.f2_tilde = marginal(self.f_tilde, "y")
-        self.cq_G1 = ConditionalQuantile(self.f, FIRST_GIVEN_SECOND)
         self.cq_G2 = ConditionalQuantile(self.f, SECOND_GIVEN_FIRST)
         self.cq_G1_tilde = ConditionalQuantile(self.f_tilde, FIRST_GIVEN_SECOND)
-        self.cq_G2_tilde = ConditionalQuantile(self.f_tilde, SECOND_GIVEN_FIRST)
 
 
 def build_instance(f: Density2D, f_tilde: Density2D) -> Instance:
@@ -130,33 +129,33 @@ def make_candidate(
     return CandidateQ(q, inst.f1, inst.f2_tilde, marginal_tol, floored_mass)
 
 
-def product_candidate(inst: Instance, nx: int | None = None, ny: int | None = None) -> CandidateQ:
+def product_candidate(inst: Instance) -> CandidateQ:
     """The independent coupling ``f1 (x) f2~`` as a feasible candidate."""
-    gx = inst.f.gx if nx is None else Grid1D(0.0, 1.0, nx)
-    gy = inst.f_tilde.gy if ny is None else Grid1D(1.0, 2.0, ny)
+    gx, gy = inst.f.gx, inst.f_tilde.gy
     vals = np.outer(inst.f1.density_at(gx.nodes), inst.f2_tilde.density_at(gy.nodes))
-    tol = DEFAULT_MARGINAL_TOL
-    if gx is not inst.f.gx or gy is not inst.f_tilde.gy:
-        tol = max(tol, 10.0 * max(gx.h, gy.h) ** 2)
-    return make_candidate(inst, Density2D(gx, gy, vals), marginal_tol=tol)
+    return make_candidate(inst, Density2D(gx, gy, vals))
 
 
 # ---------------------------------------------------------------------------
 # 1D quantile distance and the shift identity
 
 
-def krw_1d_distance(m: Marginal1D, m_tilde: Marginal1D, n_t: int = 4096) -> float:
+# level-grid size of the 1D quantile-distance quadrature
+KRW_LEVELS = 4096
+
+
+def krw_1d_distance(m: Marginal1D, m_tilde: Marginal1D) -> float:
     """1D 2-Wasserstein distance via the quantile coupling.
 
     sqrt of the integral over levels t in [0,1] of the squared gap
-    between the two inverse CDFs, by trapezoid on an ``n_t``-point level
-    grid.
+    between the two inverse CDFs, by trapezoid on a ``KRW_LEVELS``-point
+    level grid.
     """
-    t = np.linspace(0.0, 1.0, n_t)
+    t = np.linspace(0.0, 1.0, KRW_LEVELS)
     qa = interp1_monotone(m.cdf, m.grid.nodes, t)
     qb = interp1_monotone(m_tilde.cdf, m_tilde.grid.nodes, t)
     gap2 = (qa - qb) ** 2
-    val = np.trapezoid(gap2, dx=1.0 / (n_t - 1))
+    val = np.trapezoid(gap2, dx=1.0 / (KRW_LEVELS - 1))
     return float(np.sqrt(max(val, 0.0)))
 
 

@@ -207,13 +207,6 @@ def marginal(d: Density2D, axis: str) -> Marginal1D:
     return Marginal1D(grid, vals)
 
 
-def cumulative_along(d: Density2D, axis: str) -> ScalarField2D:
-    """Running trapezoid integral of ``d`` from the lower edge along ``axis``."""
-    k = _axis_index(axis)
-    h = d.gx.h if k == 0 else d.gy.h
-    return ScalarField2D(d.gx, d.gy, cumtrapz1d(d.values, h, axis=k))
-
-
 # ---------------------------------------------------------------------------
 # finite differences (second order everywhere, one-sided at edges)
 
@@ -247,36 +240,6 @@ def _d1_edge3(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     out[0] = (-11.0 * v[0] + 18.0 * v[1] - 9.0 * v[2] + 2.0 * v[3]) / (6.0 * h)
     out[-1] = (11.0 * v[-1] - 18.0 * v[-2] + 9.0 * v[-3] - 2.0 * v[-4]) / (6.0 * h)
     return np.moveaxis(out, 0, axis)
-
-
-def _d2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    n = values.shape[axis]
-    if n < 3:
-        raise GridTooSmall(f"second difference needs >= 3 nodes, got {n}")
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
-    h2 = h * h
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    if n >= 4:
-        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    else:
-        # n == 3: only the centered value is available; copy it to the edges
-        out[0] = out[1]
-        out[-1] = out[1]
-    return np.moveaxis(out, 0, axis)
-
-
-def diff1(f: ScalarField2D, axis: str) -> ScalarField2D:
-    k = _axis_index(axis)
-    h = f.gx.h if k == 0 else f.gy.h
-    return ScalarField2D(f.gx, f.gy, _d1(f.values, h, k))
-
-
-def diff2(f: ScalarField2D, axis: str) -> ScalarField2D:
-    k = _axis_index(axis)
-    h = f.gx.h if k == 0 else f.gy.h
-    return ScalarField2D(f.gx, f.gy, _d2(f.values, h, k))
 
 
 def mixed_xy(f: ScalarField2D) -> ScalarField2D:

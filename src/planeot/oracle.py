@@ -30,6 +30,8 @@ from .grids import (
 )
 
 SIZE_GUARD = 10_000_000
+# largest primal-dual gap, relative to the cost, that certifies an LP optimum
+GAP_TOL = 1e-9
 
 
 class AtomizedMeasure:
@@ -107,9 +109,7 @@ def atomize(d: Density2D, nx: int, ny: int) -> AtomizedMeasure:
     return AtomizedMeasure(pts, w / w.sum())
 
 
-def exact_ot(
-    src: AtomizedMeasure, dst: AtomizedMeasure, gap_tol: float = 1e-9
-) -> tuple[TransportPlan, float]:
+def exact_ot(src: AtomizedMeasure, dst: AtomizedMeasure) -> tuple[TransportPlan, float]:
     """Exact squared-distance transport between two atomized measures.
 
     Solves the transportation LP with the HiGHS interior-point method
@@ -134,7 +134,7 @@ def exact_ot(
     v = np.concatenate([res.eqlin.marginals[n:], [0.0]])
     dual = float(src.weights @ u + dst.weights @ v)
     gap = abs(primal - dual)
-    if gap > max(gap_tol * abs(primal), 1e-12):
+    if gap > max(GAP_TOL * abs(primal), 1e-12):
         raise Infeasible(
             f"duality certificate failed: gap {gap:.3e} on cost {primal:.6e}"
         )

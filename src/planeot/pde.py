@@ -26,7 +26,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cost import CandidateQ, Instance, M_field, make_candidate, objective
-from .errors import ConfigError, LinearSolveDiverged, NegativeMassExcessive, QuantileRangeError
+from .errors import (
+    ConfigError,
+    LinearSolveDiverged,
+    MarginalViolation,
+    NegativeMassExcessive,
+    QuantileRangeError,
+)
 from .grids import (
     EPS_POS,
     Density2D,
@@ -72,10 +78,12 @@ class SolverConfig:
 class SolveReport:
     """Diagnostics of one Picard solve and the fields derived from its result.
 
-    ``candidate`` and ``M`` are None when recovery floored away too much
-    mass; ``hh`` is None when the last iterate's derivative ratios left
-    [0, 1] beyond the guard. ``stop_reason`` says why an unconverged solve
-    stopped (the ratio guard or a stall) and is None when it converged.
+    ``candidate`` and ``M`` are None when density recovery failed (too
+    much mass floored away, or marginals outside the 25 h^2 slack); ``hh``
+    is None when the last iterate's derivative ratios left [0, 1] beyond
+    the guard. ``stop_reason`` says why a solve stopped short of a full
+    result (the ratio guard, a stall or a failed density recovery) and is
+    None when it converged and its density was recovered.
     """
 
     iterations: int = 0
@@ -269,11 +277,12 @@ def linear_elliptic_solve(
 def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[ScalarField2D, SolveReport]:
     """Damped frozen-coefficient iteration until the max-norm update is small.
 
-    Neither convergence failure nor an iterate whose derivative ratios
-    trip the guard raises; the report comes back with ``converged`` false
-    and whatever diagnostics the last iterate allows, so callers can
-    inspect a stopped run. The report carries the recovered candidate and
-    the hh and M fields, so callers never recompute them.
+    Neither convergence failure, nor an iterate whose derivative ratios
+    trip the guard, nor a failed density recovery raises; the report comes
+    back with a ``stop_reason`` and whatever diagnostics the last iterate
+    allows, so callers can inspect a stopped run. The report carries the
+    recovered candidate and the hh and M fields, so callers never
+    recompute them.
     """
     gx = Grid1D(0.0, 1.0, cfg.nx)
     gy = Grid1D(1.0, 2.0, cfg.ny)
@@ -320,9 +329,9 @@ def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[ScalarField2D, Solv
         report.hh_residual_max = residual_window_max(report.hh)
     try:
         cand = recover_density(inst, F)
-    except NegativeMassExcessive:
-        if report.converged:
-            raise
+    except (NegativeMassExcessive, MarginalViolation) as e:
+        if report.stop_reason is None:
+            report.stop_reason = f"density recovery: {e}"
         return F, report
     report.candidate = cand
     report.floored_mass = cand.floored_mass
@@ -345,10 +354,11 @@ def residual_window_max(field: ScalarField2D, margin: float = RESIDUAL_MARGIN) -
     return float(np.max(np.abs(field.values[np.ix_(mx, my)])))
 
 
-def _count_monotone_violations(F: ScalarField2D, tol: float = 1e-12) -> int:
+def _count_monotone_violations(F: ScalarField2D) -> int:
+    """Neighbour pairs along either axis where F drops by more than roundoff."""
     dv_x = np.diff(F.values, axis=0)
     dv_y = np.diff(F.values, axis=1)
-    return int(np.count_nonzero(dv_x < -tol) + np.count_nonzero(dv_y < -tol))
+    return int(np.count_nonzero(dv_x < -1e-12) + np.count_nonzero(dv_y < -1e-12))
 
 
 def hh_residual(inst: Instance, F: ScalarField2D) -> ScalarField2D:

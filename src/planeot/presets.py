@@ -34,15 +34,16 @@ def product_gauss_pair(nx: int, ny: int):
     return normalize(Density2D(gx, gy, f)), normalize(Density2D(gxt, gyt, ft))
 
 
-def bilinear_pair(nx: int, ny: int, alpha: float = 0.5, alpha_tilde: float = -0.3):
+def bilinear_pair(nx: int, ny: int):
+    """``1 + 0.5(2x-1)(2y-1)`` and its [1,2]^2 counterpart with coefficient -0.3."""
     gx = Grid1D(0.0, 1.0, nx)
     gy = Grid1D(0.0, 1.0, ny)
     gxt = Grid1D(1.0, 2.0, nx)
     gyt = Grid1D(1.0, 2.0, ny)
     X, Y = np.meshgrid(gx.nodes, gy.nodes, indexing="ij")
-    f = 1.0 + alpha * (2.0 * X - 1.0) * (2.0 * Y - 1.0)
+    f = 1.0 + 0.5 * (2.0 * X - 1.0) * (2.0 * Y - 1.0)
     Xt, Yt = np.meshgrid(gxt.nodes, gyt.nodes, indexing="ij")
-    ft = 1.0 + alpha_tilde * (2.0 * (Xt - 1.0) - 1.0) * (2.0 * (Yt - 1.0) - 1.0)
+    ft = 1.0 - 0.3 * (2.0 * (Xt - 1.0) - 1.0) * (2.0 * (Yt - 1.0) - 1.0)
     return normalize(Density2D(gx, gy, f)), normalize(Density2D(gxt, gyt, ft))
 
 

@@ -53,13 +53,9 @@ class CriterionResult:
     detail: str
     clauses: dict | None = None  # named sub-checks, True = satisfied
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "FAIL"
-
 
 class Workspace:
-    """Caches instances, solves and recovered candidates across criteria."""
+    """Caches instances and their solves across criteria."""
 
     def __init__(self, seed: int = 0, omega: float = 0.7):
         self.seed = int(seed)
@@ -72,7 +68,7 @@ class Workspace:
             f, ft = build_preset(preset, n, n)
             inst = build_instance(f, ft)
             F, report = picard_solve(inst, SolverConfig(nx=n, ny=n, omega=self.omega))
-            self._solves[key] = (inst, F, report, report.candidate)
+            self._solves[key] = (inst, F, report)
         return self._solves[key]
 
 
@@ -86,7 +82,7 @@ def _pass(ok: bool) -> str:
 
 def criterion_uniform_pde(ws: Workspace) -> CriterionResult:
     """Uniform instance at 33x33 reproduces the translation optimum."""
-    inst, F, rep, _ = ws.solve("uniform", 33)
+    inst, F, rep = ws.solve("uniform", 33)
     X, Y = np.meshgrid(F.gx.nodes, F.gy.nodes, indexing="ij")
     f_err = float(np.max(np.abs(F.values - X * (Y - 1.0))))
     ok = rep.converged and rep.iterations <= 5 and f_err <= 1e-6 and abs(rep.cost - 2.0) <= 1e-3
@@ -99,9 +95,9 @@ def criterion_uniform_pde(ws: Workspace) -> CriterionResult:
 
 def criterion_product_recovery(ws: Workspace) -> CriterionResult:
     """Product instance at 65x65: recovered density and cost vs the 1D split."""
-    inst, F, rep, cand = ws.solve("product-gauss", 65)
+    inst, F, rep = ws.solve("product-gauss", 65)
     target = np.outer(inst.f1.density_at(F.gx.nodes), inst.f2_tilde.density_at(F.gy.nodes))
-    p_err = float(np.max(np.abs(cand.q.values - target)))
+    p_err = float(np.max(np.abs(rep.candidate.q.values - target)))
     ksum = (
         krw_1d_distance(inst.f1, inst.f1_tilde) ** 2
         + krw_1d_distance(inst.f2, inst.f2_tilde) ** 2
@@ -121,7 +117,7 @@ def criterion_bilinear_triangulation(ws: Workspace, oracle: bool, oracle_atoms: 
     """Bilinear at 33x33: PDE cost vs exact transport and direct descent."""
     if not oracle:
         return CriterionResult("bilinear-triangulation", "SKIP", "oracle disabled")
-    inst, F, rep, _ = ws.solve("bilinear", 33)
+    inst, F, rep = ws.solve("bilinear", 33)
     _, ot_cost = exact_ot(
         atomize(inst.f, oracle_atoms, oracle_atoms),
         atomize(inst.f_tilde, oracle_atoms, oracle_atoms),
@@ -152,7 +148,7 @@ def criterion_stationarity(ws: Workspace, rng: np.random.Generator) -> Criterion
     worst_overall = np.inf
     parts = []
     for preset in PRESET_NAMES:
-        inst, F, rep, cand = ws.solve(preset, 65)
+        inst, F, rep = ws.solve(preset, 65)
         base = rep.cost
         worst = np.inf
         done = tries = 0
@@ -161,7 +157,7 @@ def criterion_stationarity(ws: Workspace, rng: np.random.Generator) -> Criterion
             try:
                 for sign in (1.0, -1.0):
                     pert = draw_perturbation(rng, sign * 1e-3)
-                    trial = apply_perturbation(cand, pert)
+                    trial = apply_perturbation(rep.candidate, pert)
                     worst = min(worst, objective(inst, trial) - base)
             except PositivityViolated:
                 continue
@@ -180,13 +176,12 @@ def criterion_residual_refinement(ws: Workspace) -> CriterionResult:
     The size clause accepts either the 1e-3 floor or second-order scaling
     at the constant measured on the finer grid (with 25% slack).
     """
-    ok = True
     parts = []
     clauses = {}
     for preset in PRESET_NAMES:
         vals = {}
         for n in (33, 65):
-            _, F, rep, _ = ws.solve(preset, n)
+            _, F, rep = ws.solve(preset, n)
             vals[n] = (rep.hh_residual_max, rep.mixed_M_residual_max, F.gx.h)
         for label, idx in (("hh", 0), ("mm", 1)):
             r33, r65 = vals[33][idx], vals[65][idx]
@@ -204,32 +199,34 @@ def criterion_residual_refinement(ws: Workspace) -> CriterionResult:
             shrink_ok = shrink >= 3.0
             clauses[f"{preset}.{label}.size"] = size_ok
             clauses[f"{preset}.{label}.shrink"] = shrink_ok
-            ok = ok and size_ok and shrink_ok
             parts.append(
                 f"{preset}.{label}:{r33:.2e}->{r65:.2e} shrink={shrink:.2f}"
                 + ("" if (size_ok and shrink_ok) else "!")
             )
-    return CriterionResult("residual-refinement", _pass(ok), " ".join(parts), clauses)
+    return CriterionResult(
+        "residual-refinement", _pass(all(clauses.values())), " ".join(parts), clauses
+    )
 
 
 def criterion_closed_form_m(ws: Workspace) -> CriterionResult:
     """Closed-form M residual is small at the optimum, large when perturbed."""
-    ok = True
     parts = []
     clauses = {}
     pert = CornerPerturbation(a=0.3, a1=0.55, b=1.3, b1=1.55, eps=0.1, delta=0.05)
     for preset in PRESET_NAMES:
-        inst, F, rep, cand = ws.solve(preset, 65)
-        r_opt = M_closed_form_residual(inst, cand)
-        r_pert = M_closed_form_residual(inst, apply_perturbation(cand, pert))
+        inst, F, rep = ws.solve(preset, 65)
+        r_opt = M_closed_form_residual(inst, rep.candidate)
+        r_pert = M_closed_form_residual(inst, apply_perturbation(rep.candidate, pert))
         ratio = r_pert / max(r_opt, 1e-12)
         clauses[f"{preset}.residual"] = r_opt <= 1e-3
         clauses[f"{preset}.discrimination"] = ratio >= 10.0
         this_ok = r_opt <= 1e-3 and ratio >= 10.0
-        ok = ok and this_ok
         parts.append(f"{preset}:opt={r_opt:.2e} ratio={ratio:.3g}" + ("" if this_ok else "!"))
     return CriterionResult(
-        "closed-form-m", _pass(ok), " ".join(parts) + " (tol 1e-3, 10x)", clauses
+        "closed-form-m",
+        _pass(all(clauses.values())),
+        " ".join(parts) + " (tol 1e-3, 10x)",
+        clauses,
     )
 
 
@@ -251,7 +248,7 @@ def criterion_identities(
             rng.uniform(1.0, 2.0, 1000),
         ]
     )
-    inst0, _, _, _ = ws.solve("uniform", 33)
+    inst0, _, _ = ws.solve("uniform", 33)
     split = split_check(inst0, pts)
     split_ok = split <= 1e-12
     if not oracle:
@@ -260,7 +257,7 @@ def criterion_identities(
             _pass(split_ok),
             f"split={split:.2e} (tol 1e-12); shift-vs-oracle skipped (oracle disabled)",
         )
-    inst, F, rep, _ = ws.solve("bilinear", 65)
+    inst, F, rep = ws.solve("bilinear", 65)
     ex1, ex2 = density_moments(inst.f)
     ext1, ext2 = density_moments(inst.f_tilde)
     cost_pq = shift_cost_relation(ex1, ext1 - 1.0, ex2, ext2 - 1.0, rep.cost)
@@ -316,8 +313,8 @@ def criterion_ellipticity(ws: Workspace) -> CriterionResult:
     ok = True
     parts = []
     for preset in PRESET_NAMES:
-        inst, F, rep, _ = ws.solve(preset, 33)
-        _, _, rep65, _ = ws.solve(preset, 65)
+        inst, F, rep = ws.solve(preset, 33)
+        _, _, rep65 = ws.solve(preset, 65)
         margin = ellipticity_margin(inst.cq_G1_tilde, inst.cq_G2)
         run_min = min(rep.ellipticity_margin, rep65.ellipticity_margin)
         this_ok = margin > 0.0 and run_min > 0.0
@@ -371,7 +368,7 @@ def criterion_determinism(ws: Workspace) -> CriterionResult:
         fresh = Workspace(seed=ws.seed, omega=ws.omega)
         rng = np.random.default_rng(ws.seed)
         lines = [criterion_uniform_pde(fresh).detail]
-        inst, F, rep, cand = fresh.solve("bilinear", 33)
+        inst, F, rep = fresh.solve("bilinear", 33)
         lines.append(f"cost={rep.cost!r} hh={rep.hh_residual_max!r}")
         pts = np.column_stack([rng.random(100), rng.random(100), 1 + rng.random(100), 1 + rng.random(100)])
         lines.append(f"split={split_check(inst, pts)!r}")

@@ -165,7 +165,7 @@ class TestQuantileDs:
 
     def test_product_independent_of_conditioning(self, instances):
         inst = instances("product-gauss", 65)
-        cq = inst.cq_G1
+        cq = ConditionalQuantile(inst.f, FIRST_GIVEN_SECOND)
         vals = [cq.quantile_ds(cq.quantile(0.37, y), y) for y in (0.1, 0.5, 0.9)]
         assert np.max(np.abs(np.diff(vals))) < 1e-10
 
@@ -181,7 +181,7 @@ class TestQuantileDs:
 class TestQuantileDcond:
     def test_product_zero(self, instances):
         inst = instances("product-gauss", 65)
-        cq = inst.cq_G1
+        cq = ConditionalQuantile(inst.f, FIRST_GIVEN_SECOND)
         for s, y in [(0.2, 0.3), (0.8, 0.7)]:
             assert abs(cq.quantile_dcond(cq.quantile(s, y), y)) < 1e-10
 
@@ -236,7 +236,7 @@ class TestEllipticity:
 class TestProperties:
     def test_round_trip(self, instances):
         inst = instances("bilinear", 33)
-        cq = inst.cq_G1
+        cq = ConditionalQuantile(inst.f, FIRST_GIVEN_SECOND)
         ss = np.linspace(0.0, 1.0, 20)
         ys = np.linspace(0.0, 1.0, 20)
         S, Y = np.meshgrid(ss, ys, indexing="ij")
@@ -253,7 +253,7 @@ class TestProperties:
 
     def test_ds_matches_finite_difference(self, instances):
         inst = instances("bilinear", 65)
-        cq = inst.cq_G1
+        cq = ConditionalQuantile(inst.f, FIRST_GIVEN_SECOND)
         delta = 1e-4
         for s in (0.25, 0.5, 0.75):
             for y in (0.3, 0.6):
@@ -267,7 +267,7 @@ class TestProperties:
 
     def test_product_factorization_exact(self, instances):
         inst = instances("product-gauss", 33)
-        cq = inst.cq_G1
+        cq = ConditionalQuantile(inst.f, FIRST_GIVEN_SECOND)
         for s in (0.1, 0.5, 0.93):
             vals = [cq.quantile(s, y) for y in inst.f.gy.nodes[::8]]
             assert np.max(np.abs(np.diff(vals))) < 1e-13

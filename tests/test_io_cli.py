@@ -2,6 +2,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -90,9 +91,9 @@ class TestParseConfig:
     def test_round_trip(self, tmp_path):
         cfg, _ = parse_config(None, {"preset": "bilinear", "nx": 33, "ny": 33, "seed": 7})
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.as_dict()))
+        path.write_text(json.dumps(asdict(cfg)))
         cfg2, _ = parse_config(str(path), {})
-        assert cfg2.as_dict() == cfg.as_dict()
+        assert asdict(cfg2) == asdict(cfg)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -106,7 +107,7 @@ class TestParseConfig:
         "key, value",
         [
             ("oracle", "false"), ("oracle", 1), ("nx", 65.9), ("nx", True), ("nx", "65"),
-            ("omega", "0.5"), ("out", None),
+            ("omega", "0.5"), ("out", None), ("density_p", 1), ("density_q", ["a"]),
         ],
     )
     def test_mistyped_value_rejected(self, tmp_path, key, value):
@@ -195,14 +196,47 @@ class TestCliSolve:
             return original_quantile(self, *args, **kwargs)
 
         monkeypatch.setattr(po.ConditionalQuantile, "quantile", counted_quantile)
+        # the instance builds the two quantile families the equation reads
+        original_init = po.ConditionalQuantile.__init__
+
+        def counted_init(self, *args, **kwargs):
+            counts["ConditionalQuantile"] = counts.get("ConditionalQuantile", 0) + 1
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(po.ConditionalQuantile, "__init__", counted_init)
         rc = main(["solve", "--preset", "bilinear", "--nx", "33", "--ny", "33",
                    "--out", str(tmp_path / "run")])
         assert rc == 0
         report = (tmp_path / "run" / "report.txt").read_text()
         iterations = int(re.search(r"^iterations = (\d+)$", report, re.M).group(1))
         quantile_calls = counts.pop("quantile")
-        assert counts == {"hh_residual": 1, "recover_density": 1, "M_field": 1}
+        assert counts == {
+            "hh_residual": 1, "recover_density": 1, "M_field": 1, "ConditionalQuantile": 2
+        }
         assert quantile_calls == 2 * iterations + 6
+
+    def test_recovery_failure_exit_two(self, tmp_path, capsys):
+        # the solve converges, but on the default 65x65 grid the recovered
+        # density's marginals miss the 25 h^2 slack: a partial report, exit 2
+        g = Grid1D(0.0, 1.0, 33)
+        X, Y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+        p = 1.0 + 0.2 * np.sin(3 * X) * np.cos(2 * Y)
+        q = 1.0 + 0.2 * np.exp(-((X - 0.4) ** 2 + (Y - 0.6) ** 2) / 0.1)
+        paths = []
+        for name, vals in (("p.dat", p), ("q.dat", q)):
+            paths.append(str(tmp_path / name))
+            gridio.write_density(paths[-1], po.normalize(Density2D(g, g, vals)))
+        out = tmp_path / "run"
+        rc = main(["solve", "--density-p", paths[0], "--density-q", paths[1], "--out", str(out)])
+        assert rc == 2
+        report = (out / "report.txt").read_text()
+        assert "converged = true" in report
+        assert "cost = nan" in report
+        gridio.read_field(str(out / "F.dat"))
+        gridio.read_field(str(out / "hh_residual.dat"))
+        assert not (out / "p.dat").exists()
+        err = capsys.readouterr().err
+        assert "density recovery" in err and "marginals deviate" in err
 
     def test_bad_file_exit_one(self, tmp_path, capsys):
         rc = main(["solve", "--density-p", "/missing.dat", "--density-q", "/missing2.dat"])
@@ -291,7 +325,7 @@ class TestCliOther:
         assert rc == 0
         resolved = out / "resolved_config.json"
         cfg2, _ = parse_config(str(resolved), {})
-        assert json.load(open(resolved)) == cfg2.as_dict()
+        assert json.load(open(resolved)) == asdict(cfg2)
 
 
 class TestValidateCli:
