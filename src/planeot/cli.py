@@ -21,7 +21,7 @@ from .conditional import ellipticity_margin
 from .cost import build_instance, density_moments, krw_1d_distance, shift_cost_relation
 from .errors import ConfigError, PlaneOTError
 from .grids import Density2D, Grid1D, Marginal1D
-from .oracle import atomize, exact_ot, exact_ot_1d
+from .oracle import SIZE_GUARD, atomize, exact_ot, exact_ot_1d
 from .pde import SolverConfig, picard_solve
 from .presets import PRESETS, build_preset
 from .validation import run_criteria
@@ -42,8 +42,14 @@ class RunConfig(SolverConfig):
         super().__post_init__()
         if self.nx < 9 or self.ny < 9:
             raise ConfigError(f"nx/ny: grid sizes must be at least 9, got {self.nx}x{self.ny}")
-        if self.oracle_atoms < 1:
-            raise ConfigError(f"oracle_atoms: must be at least 1, got {self.oracle_atoms}")
+        # the LP couples oracle_atoms**2 atoms with as many, so at most 56
+        if self.oracle_atoms < 1 or self.oracle_atoms**4 > SIZE_GUARD:
+            raise ConfigError(
+                f"oracle_atoms: must be at least 1 with oracle_atoms**4 at most "
+                f"{SIZE_GUARD}, got {self.oracle_atoms}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be non-negative, got {self.seed}")
         has_files = self.density_p is not None or self.density_q is not None
         if self.preset is not None and has_files:
             raise ConfigError("preset: give either a preset or two density files, not both")
@@ -293,17 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        "preset": args.preset,
-        "density_p": args.density_p,
-        "density_q": args.density_q,
-        "nx": args.nx,
-        "ny": args.ny,
-        "omega": args.omega,
-        "oracle_atoms": args.oracle_atoms,
-        "out": args.out,
-        "seed": args.seed,
-    }
+    keys = {f.name for f in fields(RunConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in keys}
     try:
         cfg, oracle_pinned = parse_config(args.config, overrides)
         # the oracle defaults on for validate/oracle runs and whenever an

@@ -28,7 +28,7 @@ from .grids import (
     Density2D,
     ScalarField2D,
     bilinear,
-    cumtrapz1d,
+    cdf_levels,
     marginal,
 )
 
@@ -56,10 +56,7 @@ class ConditionalQuantile:
             self.inv_grid = source.gy
             self.cond_grid = source.gx
             self.marginal = marginal(source, "x")
-        raw = cumtrapz1d(source.values, self.inv_grid.h, axis=self._inv_axis)
-        line_mass = np.take(raw, -1, axis=self._inv_axis)
-        # normalize each conditioning line so the CDF ends exactly at 1
-        table = raw / np.expand_dims(line_mass, self._inv_axis)
+        table = cdf_levels(source.values, self.inv_grid.h, axis=self._inv_axis)
         self.cdf_table = ScalarField2D(source.gx, source.gy, table)
         # the same table viewed as (inverted axis, conditioning axis)
         vals = self.cdf_table.values

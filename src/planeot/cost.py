@@ -39,11 +39,13 @@ from .grids import (
     Marginal1D,
     ScalarField2D,
     _d1_edge3,
+    cdf_levels,
     cumtrapz1d,
     interp1_monotone,
     marginal,
     normalize,
     trapz2d,
+    trapz_weights,
 )
 
 DEFAULT_MARGINAL_TOL = 1e-8
@@ -199,9 +201,7 @@ def _conditional_levels(q: Density2D, axis: int) -> np.ndarray:
     anything outside [0, 1] beyond roundoff would be a construction bug.
     """
     h = q.gx.h if axis == 0 else q.gy.h
-    cum = cumtrapz1d(q.values, h, axis=axis)
-    line = np.take(cum, -1, axis=axis)
-    levels = cum / np.expand_dims(line, axis)
+    levels = cdf_levels(q.values, h, axis=axis)
     if levels.min() < -1e-9 or levels.max() > 1.0 + 1e-9:
         raise OutOfRange("conditional level left [0, 1] beyond the roundoff guard")
     return np.clip(levels, 0.0, 1.0)
@@ -340,9 +340,7 @@ def _hat_raster(grid: Grid1D, lo: float, hi: float) -> np.ndarray:
         return np.where(z <= 0.0, (z + h) ** 2 / (2.0 * h), h - (h - z) ** 2 / (2.0 * h))
 
     overlap = ramp(hi - grid.nodes) - ramp(lo - grid.nodes)
-    w = np.full(grid.n, h)
-    w[0] = w[-1] = 0.5 * h
-    return overlap / w
+    return overlap / (h * trapz_weights(grid.n))
 
 
 def perturbation_field(pert: CornerPerturbation, gx: Grid1D, gy: Grid1D) -> np.ndarray:

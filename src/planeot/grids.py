@@ -134,8 +134,7 @@ class Marginal1D:
             raise ValueError(f"values shape {values.shape} != ({grid.n},)")
         if not np.all(values > 0.0):
             raise NonPositiveDensity("marginal density must be strictly positive")
-        cdf = cumtrapz1d(values, grid.h)
-        cdf = cdf / cdf[-1]
+        cdf = cdf_levels(values, grid.h)
         self.grid = grid
         self.values = _freeze(values)
         self.cdf = _freeze(cdf)
@@ -156,6 +155,13 @@ class Marginal1D:
 # quadrature
 
 
+def trapz_weights(n: int) -> np.ndarray:
+    """Unit-spacing trapezoid weights: ones, with 1/2 at both ends."""
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    return w
+
+
 def trapz1d(values: np.ndarray, h: float) -> float:
     values = np.asarray(values, dtype=float)
     return float(h * (values.sum() - 0.5 * (values[0] + values[-1])))
@@ -174,10 +180,21 @@ def cumtrapz1d(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return out
 
 
+def cdf_levels(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Cumulative trapezoid along ``axis``, each line divided by its total.
+
+    Every line starts at exactly 0, ends at exactly 1 and is
+    non-decreasing (a running sum of positive terms), so the levels need
+    no clipping.
+    """
+    cum = cumtrapz1d(values, h, axis=axis)
+    return cum / np.take(cum, [-1], axis=axis)
+
+
 def trapz2d(values: np.ndarray, hx: float, hy: float) -> float:
     values = np.asarray(values, dtype=float)
-    wx = np.ones(values.shape[0]); wx[0] = wx[-1] = 0.5
-    wy = np.ones(values.shape[1]); wy[0] = wy[-1] = 0.5
+    wx = trapz_weights(values.shape[0])
+    wy = trapz_weights(values.shape[1])
     return float(hx * hy * (wx @ values @ wy))
 
 
@@ -197,7 +214,7 @@ def marginal(d: Density2D, axis: str) -> Marginal1D:
     """Marginal density along ``axis`` (integrating out the other axis)."""
     k = _axis_index(axis)
     other = d.gy if k == 0 else d.gx
-    w = np.ones(other.n); w[0] = w[-1] = 0.5
+    w = trapz_weights(other.n)
     if k == 0:
         vals = other.h * (d.values @ w)
         grid = d.gx

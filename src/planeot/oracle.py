@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
+from .conditional import ConditionalQuantile
 from .cost import CandidateQ, Instance, make_candidate, objective
 from .errors import FloorSaturation, Infeasible, SizeGuard
 from .grids import (
@@ -25,13 +26,20 @@ from .grids import (
     Density2D,
     Grid1D,
     bilinear,
-    cumtrapz1d,
+    cdf_levels,
     trapz1d,
+    trapz_weights,
 )
 
 SIZE_GUARD = 10_000_000
 # largest primal-dual gap, relative to the cost, that certifies an LP optimum
 GAP_TOL = 1e-9
+# marginal projection: at most this many row/column passes, stopping once
+# both marginals are met to the tolerance
+PROJECTION_PASSES = 50
+PROJECTION_TOL = 1e-10
+# node bump of the finite-difference gradient
+FD_STEP = 1e-6
 
 
 class AtomizedMeasure:
@@ -180,20 +188,14 @@ def exact_ot_1d(
 
 
 def _project_marginals(
-    vals: np.ndarray,
-    t1: np.ndarray,
-    t2: np.ndarray,
-    hx: float,
-    hy: float,
-    sweeps: int = 50,
-    tol: float = 1e-10,
+    vals: np.ndarray, t1: np.ndarray, t2: np.ndarray, hx: float, hy: float
 ) -> np.ndarray:
     """Alternating row/column rescaling onto the prescribed marginals."""
-    wx = np.full(len(t1), hx); wx[0] = wx[-1] = 0.5 * hx
-    wy = np.full(len(t2), hy); wy[0] = wy[-1] = 0.5 * hy
+    wx = hx * trapz_weights(len(t1))
+    wy = hy * trapz_weights(len(t2))
     v = np.maximum(vals, EPS_POS)
     err = np.inf
-    for _ in range(sweeps):
+    for _ in range(PROJECTION_PASSES):
         rows = v @ wy
         v = v * (t1 / rows)[:, None]
         cols = wx @ v
@@ -202,7 +204,7 @@ def _project_marginals(
         rows = v @ wy
         cols = wx @ v
         err = max(np.max(np.abs(rows - t1)), np.max(np.abs(cols - t2)))
-        if err <= tol:
+        if err <= PROJECTION_TOL:
             break
     if err > 1e-6:
         raise FloorSaturation(
@@ -211,84 +213,67 @@ def _project_marginals(
     return v
 
 
-def _term1_columns(inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D) -> np.ndarray:
-    """Per-column (fixed y) contribution of the first objective term."""
-    cum = cumtrapz1d(q, gx.h, axis=0)
-    U = np.clip(cum / cum[-1, :], 0.0, 1.0)
-    Y = np.broadcast_to(gy.nodes[None, :], U.shape)
-    G = inst.cq_G1_tilde.quantile(U, Y)
-    integ = (gx.nodes[:, None] - G) ** 2 * q
-    return trapz_cols(integ, gx.h)
-
-
-def _term2_rows(inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D) -> np.ndarray:
-    """Per-row (fixed x) contribution of the second objective term."""
-    cum = cumtrapz1d(q, gy.h, axis=1)
-    V = np.clip(cum / cum[:, -1][:, None], 0.0, 1.0)
-    X = np.broadcast_to(gx.nodes[:, None], V.shape)
-    G = inst.cq_G2.quantile(V, X)
-    integ = (gy.nodes[None, :] - G) ** 2 * q
-    return trapz_cols(integ.T, gy.h)
-
-
-def trapz_cols(vals: np.ndarray, h: float) -> np.ndarray:
-    return h * (vals.sum(axis=0) - 0.5 * (vals[0, :] + vals[-1, :]))
-
-
-def _objective_from_parts(t1cols, t2rows, hx, hy) -> float:
-    wy = np.full(len(t1cols), hy); wy[0] = wy[-1] = 0.5 * hy
-    wx = np.full(len(t2rows), hx); wx[0] = wx[-1] = 0.5 * hx
-    return float(t1cols @ wy + t2rows @ wx)
-
-
-def _fd_gradient(
-    inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D, eps: float = 1e-6
+def _line_costs(
+    cq: ConditionalQuantile, lines: np.ndarray, nodes: np.ndarray, cond, h: float
 ) -> np.ndarray:
+    """Objective contribution of each row of ``lines``.
+
+    A row is the candidate along ``nodes`` at conditioning value ``cond``
+    (one value for all rows, or one per row); its contribution is the
+    trapezoid integral of the squared displacement to the quantile point
+    of its own running level, weighted by the row.
+    """
+    levels = cdf_levels(lines, h, axis=1)
+    G = cq.quantile(levels, np.reshape(cond, (-1, 1)))
+    integ = (nodes - G) ** 2 * lines
+    return h * (integ.sum(axis=1) - 0.5 * (integ[:, 0] + integ[:, -1]))
+
+
+def _terms(inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D):
+    """The two objective terms as (quantiles, lines, nodes, conds, h, weights).
+
+    The first term integrates ``q`` along x at each fixed y, so its lines
+    are the columns of ``q``; the second integrates along y at fixed x.
+    """
+    return (
+        (inst.cq_G1_tilde, q.T, gx.nodes, gy.nodes, gx.h, gy.h * trapz_weights(gy.n)),
+        (inst.cq_G2, q, gy.nodes, gx.nodes, gy.h, gx.h * trapz_weights(gx.n)),
+    )
+
+
+def _value(inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D) -> float:
+    """The objective of nodal values ``q``, without the feasibility check."""
+    return float(sum(
+        _line_costs(cq, lines, nodes, conds, h) @ w
+        for cq, lines, nodes, conds, h, w in _terms(inst, q, gx, gy)
+    ))
+
+
+def _fd_gradient(inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D) -> np.ndarray:
     """Forward-difference gradient of the objective in the nodal values.
 
     A bump at node (i, j) only changes column j of the first term and row
-    i of the second, so each column/row is re-evaluated for all bump
-    positions at once instead of recomputing the full functional.
+    i of the second, so each line is re-evaluated for all bump positions
+    at once instead of recomputing the full functional.
     """
-    nx, ny = gx.n, gy.n
-    wy = np.full(ny, gy.h); wy[0] = wy[-1] = 0.5 * gy.h
-    wx = np.full(nx, gx.h); wx[0] = wx[-1] = 0.5 * gx.h
-    base1 = _term1_columns(inst, q, gx, gy)
-    base2 = _term2_rows(inst, q, gx, gy)
-    grad = np.zeros((nx, ny))
-    eye_x = np.eye(nx) * eps
-    for j in range(ny):
-        col = q[:, j]
-        Qp = col[None, :] + eye_x  # row r = column bumped at node r
-        cum = cumtrapz1d(Qp, gx.h, axis=1)
-        U = np.clip(cum / cum[:, -1][:, None], 0.0, 1.0)
-        G = inst.cq_G1_tilde.quantile(U, np.full(U.shape, gy.nodes[j]))
-        integ = (gx.nodes[None, :] - G) ** 2 * Qp
-        vals = trapz_cols(integ.T, gx.h)
-        grad[:, j] += wy[j] * (vals - base1[j]) / eps
-    eye_y = np.eye(ny) * eps
-    for i in range(nx):
-        row = q[i, :]
-        Qp = row[None, :] + eye_y
-        cum = cumtrapz1d(Qp, gy.h, axis=1)
-        V = np.clip(cum / cum[:, -1][:, None], 0.0, 1.0)
-        G = inst.cq_G2.quantile(V, np.full(V.shape, gx.nodes[i]))
-        integ = (gy.nodes[None, :] - G) ** 2 * Qp
-        vals = trapz_cols(integ.T, gy.h)
-        grad[i, :] += wx[i] * (vals - base2[i]) / eps
+    grad = np.zeros(q.shape)
+    # the first term's lines are columns, so it writes the transposed view
+    for (cq, lines, nodes, conds, h, w), out in zip(_terms(inst, q, gx, gy), (grad.T, grad)):
+        base = _line_costs(cq, lines, nodes, conds, h)
+        bumps = np.eye(len(nodes)) * FD_STEP
+        for k, line in enumerate(lines):
+            vals = _line_costs(cq, line[None, :] + bumps, nodes, conds[k], h)
+            out[k] += w[k] * (vals - base[k]) / FD_STEP
     return grad
 
 
 def minimize_objective_direct(
-    inst: Instance,
-    nx: int,
-    ny: int,
-    iters: int = 30,
-    start: np.ndarray | None = None,
+    inst: Instance, nx: int, ny: int, iters: int = 30
 ) -> tuple[CandidateQ, float]:
     """Projected descent on the objective over the marginal polytope.
 
-    Finite-difference gradient, backtracking line search, projection by
+    Starts from the product of the two prescribed marginals. Finite-
+    difference gradient, backtracking line search, projection by
     alternating marginal rescaling with a positivity floor. Monotone by
     construction: the returned value never exceeds the starting one.
     """
@@ -300,46 +285,26 @@ def minimize_objective_direct(
     t1 = t1 / trapz1d(t1, gx.h)
     t2 = inst.f2_tilde.density_at(gy.nodes)
     t2 = t2 / trapz1d(t2, gy.h)
-    if start is None:
-        q = np.outer(t1, t2)
-    else:
-        q = np.asarray(start, dtype=float).copy()
-        if q.shape != (nx, ny):
-            raise ValueError(f"start shape {q.shape} != ({nx}, {ny})")
-    q = _project_marginals(q, t1, t2, gx.h, gy.h)
-
-    def value(vals: np.ndarray) -> float:
-        return _objective_from_parts(
-            _term1_columns(inst, vals, gx, gy),
-            _term2_rows(inst, vals, gx, gy),
-            gx.h,
-            gy.h,
-        )
-
-    best = value(q)
+    q = _project_marginals(np.outer(t1, t2), t1, t2, gx.h, gy.h)
+    best = _value(inst, q, gx, gy)
     step = 1.0
     for _ in range(iters):
         g = _fd_gradient(inst, q, gx, gy)
-        gmax = float(np.max(np.abs(g)))
-        if gmax == 0.0:
+        if not np.any(g):
             break
-        improved = False
         alpha = step
         for _ in range(25):
             trial = _project_marginals(np.maximum(q - alpha * g, EPS_POS), t1, t2, gx.h, gy.h)
-            val = value(trial)
+            val = _value(inst, trial, gx, gy)
             if val < best - 1e-14:
                 q, best = trial, val
                 step = alpha * 2.0
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
+        else:
             break
     tol = self_marginal_tol(inst, gx, gy, t1, t2)
-    cand = make_candidate(
-        inst, Density2D(gx, gy, q), marginal_tol=tol
-    )
+    cand = make_candidate(inst, Density2D(gx, gy, q), marginal_tol=tol)
     return cand, float(objective(inst, cand))
 
 

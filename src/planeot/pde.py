@@ -72,6 +72,9 @@ class SolverConfig:
         for name in ("picard_tol", "linear_tol"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name}: must be positive")
+        for name in ("picard_max_iters", "linear_max_iters"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -341,11 +344,12 @@ def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[ScalarField2D, Solv
     return F, report
 
 
-def residual_window_max(field: ScalarField2D, margin: float = RESIDUAL_MARGIN) -> float:
-    """Max magnitude over nodes at least ``margin`` inside the boundary."""
+def residual_window_max(field: ScalarField2D) -> float:
+    """Max magnitude over nodes at least ``RESIDUAL_MARGIN`` inside the boundary."""
     gx, gy = field.gx, field.gy
-    mx = (gx.nodes >= gx.lo + margin - 1e-12) & (gx.nodes <= gx.hi - margin + 1e-12)
-    my = (gy.nodes >= gy.lo + margin - 1e-12) & (gy.nodes <= gy.hi - margin + 1e-12)
+    m = RESIDUAL_MARGIN
+    mx = (gx.nodes >= gx.lo + m - 1e-12) & (gx.nodes <= gx.hi - m + 1e-12)
+    my = (gy.nodes >= gy.lo + m - 1e-12) & (gy.nodes <= gy.hi - m + 1e-12)
     if not (mx.any() and my.any()):
         mx = np.ones(gx.n, dtype=bool)
         my = np.ones(gy.n, dtype=bool)

@@ -89,7 +89,6 @@ class TestObjective:
             inst.f2_tilde.values,
             inst.f.gx.h,
             inst.f_tilde.gy.h,
-            sweeps=200,
         )
         q = Density2D(Grid1D(0, 1, 33), Grid1D(1, 2, 33), vals)
         cand = po.make_candidate(inst, q, marginal_tol=1e-8)

@@ -4,7 +4,9 @@ from scipy.special import erf
 
 import planeot as po
 from planeot.errors import GridTooSmall, NonPositiveDensity, OutOfRange
-from planeot.grids import Grid1D, Density2D, ScalarField2D, _d1, cumtrapz1d, trapz2d
+from planeot.grids import (
+    Grid1D, Density2D, ScalarField2D, _d1, cdf_levels, cumtrapz1d, trapz2d,
+)
 
 
 def trapz2d_oracle(values, hx, hy):
@@ -143,6 +145,26 @@ class TestCumulative:
         d = po.normalize(Density2D(g, g, 0.5 + rng.random((13, 13))))
         c = cumtrapz1d(d.values, g.h, axis=0)
         assert np.all(np.diff(c, axis=0) > 0)
+
+    def test_cdf_levels_exact_ends_and_monotone(self):
+        # the property that lets callers use the levels without clipping
+        hyp = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+
+        @hyp.settings(max_examples=60, deadline=None, database=None)
+        @hyp.given(st.data())
+        def check(data):
+            shape = (data.draw(st.integers(3, 40)), data.draw(st.integers(3, 40)))
+            vals = data.draw(hnp.arrays(float, shape, elements=st.floats(1e-6, 1e6)))
+            h = data.draw(st.floats(1e-3, 1.0))
+            axis = data.draw(st.sampled_from([0, 1]))
+            lv = np.moveaxis(cdf_levels(vals, h, axis=axis), axis, 0)
+            assert np.all(lv[0] == 0.0)
+            assert np.all(lv[-1] == 1.0)
+            assert np.all(np.diff(lv, axis=0) >= 0.0)
+
+        check()
 
 
 class TestDifferences:

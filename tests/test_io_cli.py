@@ -97,7 +97,11 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("omega", 0.0), ("omega", 1.5), ("picard_tol", 0.0), ("linear_tol", -1e-10)],
+        [
+            ("omega", 0.0), ("omega", 1.5), ("picard_tol", 0.0), ("linear_tol", -1e-10),
+            ("picard_max_iters", 0), ("picard_max_iters", -3), ("linear_max_iters", -1),
+            ("seed", -1), ("oracle_atoms", 57),
+        ],
     )
     def test_solver_setting_out_of_range(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key}:"):

@@ -72,7 +72,7 @@ class TestAssemble:
             A, B, C = (c.values[1:-1, 1:-1] for c in (coeffs.A, coeffs.B, coeffs.C))
             res = np.zeros_like(V)
             res[1:-1, 1:-1] = A * d2x + B * d2y - C
-            errs.append(residual_window_max(ScalarField2D(gx, gy, res), 0.1))
+            errs.append(residual_window_max(ScalarField2D(gx, gy, res)))
         assert errs[0] / errs[1] > 2.5
 
     def test_cold_start_positive_coefficients(self, instances):
@@ -204,14 +204,14 @@ class TestHhResidual:
         vals = []
         for n in (33, 65):
             inst, F, rep, _ = solves("product-gauss", n)
-            vals.append(residual_window_max(po.hh_residual(inst, F), 0.1))
+            vals.append(residual_window_max(po.hh_residual(inst, F)))
         assert vals[0] / vals[1] > 2.5
 
     def test_wrong_field_discriminates(self, solves, instances):
         inst, F, rep, _ = solves("bilinear", 33)
-        converged = residual_window_max(po.hh_residual(inst, F), 0.1)
+        converged = residual_window_max(po.hh_residual(inst, F))
         F0 = initial_iterate(inst, F.gx, F.gy)
-        cold = residual_window_max(po.hh_residual(inst, F0), 0.1)
+        cold = residual_window_max(po.hh_residual(inst, F0))
         assert cold > 10.0 * converged
 
 
