@@ -42,7 +42,7 @@ class RunConfig(SolverConfig):
         super().__post_init__()
         if self.nx < 9 or self.ny < 9:
             raise ConfigError(f"nx/ny: grid sizes must be at least 9, got {self.nx}x{self.ny}")
-        # the LP couples oracle_atoms**2 atoms with as many, so at most 56
+        # the LP couples oracle_atoms**2 atoms with as many, so at most 37
         if self.oracle_atoms < 1 or self.oracle_atoms**4 > SIZE_GUARD:
             raise ConfigError(
                 f"oracle_atoms: must be at least 1 with oracle_atoms**4 at most "

@@ -27,6 +27,7 @@ from .grids import (
     EPS_POS,
     Density2D,
     ScalarField2D,
+    _d1,
     bilinear,
     cdf_levels,
     marginal,
@@ -58,6 +59,10 @@ class ConditionalQuantile:
             self.marginal = marginal(source, "x")
         table = cdf_levels(source.values, self.inv_grid.h, axis=self._inv_axis)
         self.cdf_table = ScalarField2D(source.gx, source.gy, table)
+        # the table differenced once along the conditioning axis (central,
+        # one-sided second order at the edges), read by quantile_dcond
+        dcond = _d1(table, self.cond_grid.h, axis=1 - self._inv_axis)
+        self._dcdf_dcond = ScalarField2D(source.gx, source.gy, dcond)
         # the same table viewed as (inverted axis, conditioning axis)
         vals = self.cdf_table.values
         self._tbl = vals if self._inv_axis == 0 else vals.T
@@ -66,11 +71,7 @@ class ConditionalQuantile:
 
     def cond_cdf(self, primary, conditioning):
         """Conditional CDF value at ``primary`` given ``conditioning``; in [0, 1]."""
-        if self._inv_axis == 0:
-            out = bilinear(self.cdf_table, primary, conditioning)
-        else:
-            out = bilinear(self.cdf_table, conditioning, primary)
-        return np.clip(out, 0.0, 1.0)
+        return np.clip(self._at(self.cdf_table, primary, conditioning), 0.0, 1.0)
 
     # -- inverse -----------------------------------------------------------
 
@@ -148,52 +149,22 @@ class ConditionalQuantile:
         """Derivative of the quantile in the conditioning argument.
 
         ``point`` is the quantile point ``quantile(s, conditioning)``.
-        Implicit differentiation of ``F(G, c) = s``: the CDF is differenced
-        in the conditioning direction (step = conditioning grid spacing,
-        one-sided second order at the domain edges), the primary-direction
-        derivative is the conditional density at the point.
+        Implicit differentiation of ``F(G, c) = s``: the conditioning
+        derivative of the CDF, read from the table differenced once at
+        construction, times the level derivative ``quantile_ds``.
         """
-        g_in, c_in = np.broadcast_arrays(
-            np.asarray(point, dtype=float), np.asarray(conditioning, dtype=float)
-        )
-        shape = g_in.shape
-        g = g_in.ravel()
-        c = c_in.ravel()
-        cg = self.cond_grid
-        h = cg.h
-        lo_side = c - h < cg.lo - 1e-12
-        hi_side = c + h > cg.hi + 1e-12
-        mid = ~(lo_side | hi_side)
-        dF = np.empty_like(c)
-        if np.any(mid):
-            dF[mid] = (
-                self.cond_cdf(g[mid], c[mid] + h) - self.cond_cdf(g[mid], c[mid] - h)
-            ) / (2.0 * h)
-        if np.any(lo_side):
-            cl = c[lo_side]
-            dF[lo_side] = (
-                -3.0 * self.cond_cdf(g[lo_side], cl)
-                + 4.0 * self.cond_cdf(g[lo_side], cl + h)
-                - self.cond_cdf(g[lo_side], cl + 2.0 * h)
-            ) / (2.0 * h)
-        if np.any(hi_side):
-            ch = c[hi_side]
-            dF[hi_side] = (
-                3.0 * self.cond_cdf(g[hi_side], ch)
-                - 4.0 * self.cond_cdf(g[hi_side], ch - h)
-                + self.cond_cdf(g[hi_side], ch - 2.0 * h)
-            ) / (2.0 * h)
-        dens = self._density_at(g, c)
-        marg = np.asarray(self.marginal.density_at(c), dtype=float)
-        out = (-dF * marg / dens).reshape(shape)
-        return out if shape else float(out)
+        dF = self._at(self._dcdf_dcond, point, conditioning)
+        out = -dF * self.quantile_ds(point, conditioning)
+        return out if np.ndim(out) else float(out)
+
+    def _at(self, field: ScalarField2D, g, c):
+        """Bilinear read of a field over (x, y) at primary ``g``, conditioning ``c``."""
+        if self._inv_axis == 0:
+            return bilinear(field, g, c)
+        return bilinear(field, c, g)
 
     def _density_at(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
-        if self._inv_axis == 0:
-            dens = bilinear(self.source, g, c)
-        else:
-            dens = bilinear(self.source, c, g)
-        dens = np.asarray(dens, dtype=float)
+        dens = np.asarray(self._at(self.source, g, c), dtype=float)
         if np.any(dens < EPS_POS):
             raise DegenerateDensity(
                 f"density {dens.min()!r} below the positivity floor"

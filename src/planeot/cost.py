@@ -71,12 +71,13 @@ class Instance:
                 raise ValueError(f"{name} must span [{lo}, {hi}], got [{g.lo}, {g.hi}]")
         self.f = normalize(f)
         self.f_tilde = normalize(f_tilde)
-        self.f1 = marginal(self.f, "x")
-        self.f2 = marginal(self.f, "y")
-        self.f1_tilde = marginal(self.f_tilde, "x")
-        self.f2_tilde = marginal(self.f_tilde, "y")
         self.cq_G2 = ConditionalQuantile(self.f, SECOND_GIVEN_FIRST)
         self.cq_G1_tilde = ConditionalQuantile(self.f_tilde, FIRST_GIVEN_SECOND)
+        # each family's conditioning marginal is the one the equation reads
+        self.f1 = self.cq_G2.marginal
+        self.f2 = marginal(self.f, "y")
+        self.f1_tilde = marginal(self.f_tilde, "x")
+        self.f2_tilde = self.cq_G1_tilde.marginal
 
 
 def build_instance(f: Density2D, f_tilde: Density2D) -> Instance:
@@ -207,13 +208,38 @@ def _conditional_levels(q: Density2D, axis: int) -> np.ndarray:
     return np.clip(levels, 0.0, 1.0)
 
 
+def _quantile_points(inst: Instance, v: np.ndarray, u: np.ndarray, gx: Grid1D, gy: Grid1D):
+    """Quantile points of both families at levels ``v`` (y given x), ``u`` (x given y).
+
+    Returns (level, conditioning grid, quantile point) for ``cq_G2``
+    first and ``cq_G1_tilde`` second, on the tensor grid ``gx`` x ``gy``.
+    """
+    X = np.broadcast_to(gx.nodes[:, None], v.shape)
+    Y = np.broadcast_to(gy.nodes[None, :], u.shape)
+    return (v, X, inst.cq_G2.quantile(v, X)), (u, Y, inst.cq_G1_tilde.quantile(u, Y))
+
+
 def _levels_and_points(inst: Instance, q: Density2D):
-    """Conditional levels U, V of ``q`` as (level, conditioning grid, quantile)."""
-    X = np.broadcast_to(q.gx.nodes[:, None], q.values.shape)
-    Y = np.broadcast_to(q.gy.nodes[None, :], q.values.shape)
-    U = _conditional_levels(q, axis=0)
+    """Conditional levels of ``q`` and their quantile points, as ``_quantile_points``."""
     V = _conditional_levels(q, axis=1)
-    return (U, Y, inst.cq_G1_tilde.quantile(U, Y)), (V, X, inst.cq_G2.quantile(V, X))
+    U = _conditional_levels(q, axis=0)
+    return _quantile_points(inst, V, U, q.gx, q.gy)
+
+
+def _composite_derivative(inst: Instance, points, gx: Grid1D, gy: Grid1D, diff) -> np.ndarray:
+    """d/dx G2(v, x) + d/dy G1~(u, y) of the two quantile composites.
+
+    ``points`` as returned by ``_quantile_points``; the chain rule runs
+    through the level derivative (the levels differenced by ``diff``) and
+    the conditioning derivative of each quantile evaluator.
+    """
+    (v, X, gv), (u, Y, gu) = points
+    return (
+        inst.cq_G2.quantile_ds(gv, X) * diff(v, gx.h, axis=0)
+        + inst.cq_G2.quantile_dcond(gv, X)
+        + inst.cq_G1_tilde.quantile_ds(gu, Y) * diff(u, gy.h, axis=1)
+        + inst.cq_G1_tilde.quantile_dcond(gu, Y)
+    )
 
 
 def objective(inst: Instance, cand: CandidateQ) -> float:
@@ -225,7 +251,7 @@ def objective(inst: Instance, cand: CandidateQ) -> float:
     """
     _check_feasible(cand)
     q = cand.q
-    (_, Y, gU), (_, X, gV) = _levels_and_points(inst, q)
+    (_, X, gV), (_, Y, gU) = _levels_and_points(inst, q)
     term1 = trapz2d((X - gU) ** 2 * q.values, q.gx.h, q.gy.h)
     term2 = trapz2d((Y - gV) ** 2 * q.values, q.gx.h, q.gy.h)
     return float(term1 + term2)
@@ -254,19 +280,15 @@ def split_check(inst: Instance, coupling_sample: np.ndarray) -> float:
 def _m_pieces(inst: Instance, cand: CandidateQ):
     """Boundary curves of the potential M and the double integral of its integrand."""
     gx, gy = cand.q.gx, cand.q.gy
-    (U, Yg, gU), (V, Xg, gV) = _levels_and_points(inst, cand.q)
+    points = _levels_and_points(inst, cand.q)
+    (_, _, gV), (_, _, gU) = points
     # boundary integrals along the two low edges: the quantile points of
     # the first column and the first row
     b_x = -2.0 * cumtrapz1d(gU[:, 0], gx.h)
     b_y = -2.0 * cumtrapz1d(gV[0, :], gy.h)
     # interior integrand: total derivatives of the two quantile composites
-    dU_dy = _d1_edge3(U, gy.h, axis=1)
-    d1 = inst.cq_G1_tilde.quantile_ds(gU, Yg) * dU_dy + inst.cq_G1_tilde.quantile_dcond(
-        gU, Yg
-    )
-    dV_dx = _d1_edge3(V, gx.h, axis=0)
-    d2 = inst.cq_G2.quantile_ds(gV, Xg) * dV_dx + inst.cq_G2.quantile_dcond(gV, Xg)
-    inner = cumtrapz1d(cumtrapz1d(d1 + d2, gx.h, axis=0), gy.h, axis=1)
+    d = _composite_derivative(inst, points, gx, gy, _d1_edge3)
+    inner = cumtrapz1d(cumtrapz1d(d, gx.h, axis=0), gy.h, axis=1)
     return b_x, b_y, inner
 
 

@@ -26,6 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cost import CandidateQ, Instance, M_field, make_candidate, objective
+from .cost import _composite_derivative, _quantile_points
 from .errors import (
     ConfigError,
     LinearSolveDiverged,
@@ -156,7 +157,7 @@ def _marginal_tables(inst: Instance, gx: Grid1D, gy: Grid1D):
 
 
 def _ratios_and_points(inst: Instance, F: ScalarField2D, f1: np.ndarray, f2t: np.ndarray):
-    """Clamped levels v = F'_x/f1, u = F'_y/f2~ as (level, conditioning grid, quantile)."""
+    """Clamped levels v = F'_x/f1, u = F'_y/f2~ and their quantile points."""
     gx, gy = F.gx, F.gy
     v = _d1_edge3(F.values, gx.h, axis=0) / f1[:, None]
     u = _d1_edge3(F.values, gy.h, axis=1) / f2t[None, :]
@@ -167,10 +168,7 @@ def _ratios_and_points(inst: Instance, F: ScalarField2D, f1: np.ndarray, f2t: np
         raise QuantileRangeError(
             f"derivative ratio left [0, 1] by {worst:.3e} (guard {RATIO_GUARD:.1e})"
         )
-    v, u = np.clip(v, 0.0, 1.0), np.clip(u, 0.0, 1.0)
-    Xg = np.broadcast_to(gx.nodes[:, None], v.shape)
-    Yg = np.broadcast_to(gy.nodes[None, :], u.shape)
-    return (v, Xg, inst.cq_G2.quantile(v, Xg)), (u, Yg, inst.cq_G1_tilde.quantile(u, Yg))
+    return _quantile_points(inst, np.clip(v, 0.0, 1.0), np.clip(u, 0.0, 1.0), gx, gy)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +372,7 @@ def hh_residual(inst: Instance, F: ScalarField2D) -> ScalarField2D:
     """
     gx, gy = F.gx, F.gy
     f1, f2t, _, _ = _marginal_tables(inst, gx, gy)
-    (v, Xg, gv), (u, Yg, gu) = _ratios_and_points(inst, F, f1, f2t)
-    du_dy = _d1(u, gy.h, axis=1)
-    dv_dx = _d1(v, gx.h, axis=0)
-    res = (
-        inst.cq_G1_tilde.quantile_ds(gu, Yg) * du_dy
-        + inst.cq_G1_tilde.quantile_dcond(gu, Yg)
-        + inst.cq_G2.quantile_ds(gv, Xg) * dv_dx
-        + inst.cq_G2.quantile_dcond(gv, Xg)
-    )
+    res = _composite_derivative(inst, _ratios_and_points(inst, F, f1, f2t), gx, gy, _d1)
     out = np.zeros_like(res)
     out[1:-1, 1:-1] = res[1:-1, 1:-1]
     return ScalarField2D(gx, gy, out)

@@ -51,6 +51,43 @@ def dense_quantile(cq, s, conditioning):
     return v.reshape(s_in.shape)
 
 
+def stencil_dcond(cq, point, conditioning):
+    """Reference conditioning derivative: cond_cdf differenced at the conditioning value.
+
+    Central at interior values; one-sided second order wherever a
+    central step would leave the conditioning domain.
+    """
+    g_in, c_in = np.broadcast_arrays(
+        np.asarray(point, dtype=float), np.asarray(conditioning, dtype=float)
+    )
+    g = g_in.ravel()
+    c = c_in.ravel()
+    cg = cq.cond_grid
+    h = cg.h
+    lo_side = c - h < cg.lo - 1e-12
+    hi_side = c + h > cg.hi + 1e-12
+    mid = ~(lo_side | hi_side)
+    dF = np.empty_like(c)
+    dF[mid] = (cq.cond_cdf(g[mid], c[mid] + h) - cq.cond_cdf(g[mid], c[mid] - h)) / (2.0 * h)
+    gl, cl = g[lo_side], c[lo_side]
+    dF[lo_side] = (
+        -3.0 * cq.cond_cdf(gl, cl) + 4.0 * cq.cond_cdf(gl, cl + h) - cq.cond_cdf(gl, cl + 2.0 * h)
+    ) / (2.0 * h)
+    gh, ch = g[hi_side], c[hi_side]
+    dF[hi_side] = (
+        3.0 * cq.cond_cdf(gh, ch) - 4.0 * cq.cond_cdf(gh, ch - h) + cq.cond_cdf(gh, ch - 2.0 * h)
+    ) / (2.0 * h)
+    dens = cq._density_at(g, c)
+    marg = cq.marginal.density_at(c)
+    return (-dF * marg / dens).reshape(g_in.shape)
+
+
+def sine_density(n):
+    g = Grid1D(0.0, 1.0, n)
+    X, Y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    return po.normalize(Density2D(g, g, 1.0 + 0.5 * np.sin(3 * X) * np.cos(3 * Y)))
+
+
 class TestCondCdf:
     def test_uniform_is_identity(self):
         g = Grid1D(0.0, 1.0, 21)
@@ -203,6 +240,34 @@ class TestQuantileDcond:
         g_plus = brentq(lambda x: bilinear_cdf(x, 0.5 + eps) - 0.5, 0.0, 1.0, xtol=1e-13)
         g_minus = brentq(lambda x: bilinear_cdf(x, 0.5 - eps) - 0.5, 0.0, 1.0, xtol=1e-13)
         assert abs((g_plus - g_minus) / (2 * eps) - 0.25) < 1e-6
+
+    @pytest.mark.parametrize("which", [FIRST_GIVEN_SECOND, SECOND_GIVEN_FIRST])
+    def test_matches_stencil_reference(self, which):
+        levels = np.linspace(0.0, 1.0, 11)[:, None]
+        edge_gaps = []
+        for n in (33, 65, 129):
+            cq = ConditionalQuantile(sine_density(n), which)
+            cg = cq.cond_grid
+            # every node, and off-node values in the cells whose both ends
+            # take the central difference
+            inner = cg.nodes[1:-2] + np.array([0.3, 0.71])[:, None] * cg.h
+            for conds in (cg.nodes, inner.ravel()):
+                c = np.broadcast_to(conds[None, :], (levels.size, conds.size))
+                point = cq.quantile(levels, c)
+                ref = stencil_dcond(cq, point, c)
+                assert np.max(np.abs(cq.quantile_dcond(point, c) - ref)) <= (
+                    1e-12 * np.max(np.abs(ref))
+                )
+            # inside the first and last cell the edge stencil is blended
+            edge = np.array([cg.lo + 0.5 * cg.h, cg.hi - 0.5 * cg.h])
+            c = np.broadcast_to(edge[None, :], (levels.size, 2))
+            point = cq.quantile(levels, c)
+            edge_gaps.append(
+                np.max(np.abs(cq.quantile_dcond(point, c) - stencil_dcond(cq, point, c)))
+            )
+        assert edge_gaps[0] >= 3.5 * edge_gaps[1] >= 3.5**2 * edge_gaps[2]
+        one = cq.quantile_dcond(cq.quantile(0.4, 0.37), 0.37)
+        assert type(one) is float
 
 
 class TestEllipticity:

@@ -100,7 +100,7 @@ class TestParseConfig:
         [
             ("omega", 0.0), ("omega", 1.5), ("picard_tol", 0.0), ("linear_tol", -1e-10),
             ("picard_max_iters", 0), ("picard_max_iters", -3), ("linear_max_iters", -1),
-            ("seed", -1), ("oracle_atoms", 57),
+            ("seed", -1), ("oracle_atoms", 38),
         ],
     )
     def test_solver_setting_out_of_range(self, key, value):
@@ -180,7 +180,9 @@ class TestCliSolve:
     def test_derived_fields_computed_once(self, tmp_path, monkeypatch, capsys):
         # count calls wherever a planeot module looks the functions up
         counts = {}
-        for name in ("hh_residual", "recover_density", "M_field"):
+        # marginal: the instance reads f1 and f2~ from its two quantile
+        # families (2 + 2 calls), the recovered candidate checks its two
+        for name in ("hh_residual", "recover_density", "M_field", "marginal"):
             original = getattr(po, name)
 
             def counted(*args, _name=name, _fn=original, **kwargs):
@@ -215,7 +217,8 @@ class TestCliSolve:
         iterations = int(re.search(r"^iterations = (\d+)$", report, re.M).group(1))
         quantile_calls = counts.pop("quantile")
         assert counts == {
-            "hh_residual": 1, "recover_density": 1, "M_field": 1, "ConditionalQuantile": 2
+            "hh_residual": 1, "recover_density": 1, "M_field": 1, "ConditionalQuantile": 2,
+            "marginal": 6,
         }
         assert quantile_calls == 2 * iterations + 6
 

@@ -117,7 +117,7 @@ class TestExactOt:
         pts = np.zeros((4000, 2))
         w = np.full(4000, 1.0 / 4000)
         m = po.AtomizedMeasure(pts, w)
-        with pytest.raises(SizeGuard):
+        with pytest.raises(SizeGuard, match="16000000 atom pairs exceed the guard of 2000000"):
             po.exact_ot(m, m)
 
     def test_refinement_approaches_pde_cost(self, solves):
