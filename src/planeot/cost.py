@@ -19,6 +19,8 @@ lives on [0,1] x [1,2] with prescribed marginals (``f``'s x-marginal and
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .conditional import (
@@ -75,9 +77,16 @@ class Instance:
         self.cq_G1_tilde = ConditionalQuantile(self.f_tilde, FIRST_GIVEN_SECOND)
         # each family's conditioning marginal is the one the equation reads
         self.f1 = self.cq_G2.marginal
-        self.f2 = marginal(self.f, "y")
-        self.f1_tilde = marginal(self.f_tilde, "x")
         self.f2_tilde = self.cq_G1_tilde.marginal
+
+    # the other two marginals only feed 1D distances, which a solve never reads
+    @cached_property
+    def f2(self) -> Marginal1D:
+        return marginal(self.f, "y")
+
+    @cached_property
+    def f1_tilde(self) -> Marginal1D:
+        return marginal(self.f_tilde, "x")
 
 
 def build_instance(f: Density2D, f_tilde: Density2D) -> Instance:

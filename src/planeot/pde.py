@@ -55,6 +55,12 @@ RATIO_GUARD = 0.05
 RESIDUAL_MARGIN = 0.1
 # density recovery fails when flooring removes more than this share of mass
 MAX_FLOORED = 0.01
+# BiCGStab iteration cap when an earlier Picard step's ILU factor
+# preconditions a new matrix; a step that misses the tolerance within it
+# factors its own matrix. Reused factors need at most 16 iterations per
+# step on the shipped presets at 33-257 (25 on product-gauss at 513), so
+# the cap only bounds the cost of a bad one
+REUSED_FACTOR_MAX_ITERS = 50
 
 
 @dataclass
@@ -200,17 +206,37 @@ def assemble_coefficients(inst: Instance, F: ScalarField2D) -> PdeCoefficients:
     )
 
 
+class _FactorSlot:
+    """The ILU factor a Picard solve carries from step to step (None before the first)."""
+
+    __slots__ = ("ilu",)
+
+    def __init__(self):
+        self.ilu = None
+
+
 def linear_elliptic_solve(
     coeffs: PdeCoefficients,
     boundary: ScalarField2D,
     linear_tol: float = 1e-10,
     linear_max_iters: int = 20000,
+    factor: _FactorSlot | None = None,
 ) -> ScalarField2D:
     """Solve A d2x F + B d2y F = C on interior nodes with given Dirichlet data.
 
     Five-point second differences; the sparse system is solved by
-    ILU-preconditioned BiCGStab and the relative residual is verified
-    against ``linear_tol`` afterwards.
+    BiCGStab preconditioned with an incomplete LU in minimum-degree order
+    of A + A^T, and the relative residual is verified against
+    ``linear_tol`` after every attempt. The attempts, in order:
+
+    1. when ``factor`` holds an earlier step's ILU, BiCGStab with it, at
+       most ``REUSED_FACTOR_MAX_ITERS`` iterations;
+    2. BiCGStab with a fresh ILU of this matrix, which replaces the one in
+       ``factor``, at most ``linear_max_iters`` iterations;
+    3. a direct ``spsolve``; ``LinearSolveDiverged`` if even its residual
+       is above ``linear_tol``.
+
+    Without ``factor`` a call factors its own matrix.
     """
     gx, gy = boundary.gx, boundary.gy
     n, m = gx.n, gy.n
@@ -241,26 +267,36 @@ def linear_elliptic_solve(
     )
     b = rhs.ravel()
     x0 = bvals[1:-1, 1:-1].ravel()
-    try:
-        ilu = spla.spilu(A_mat, drop_tol=1e-5, fill_factor=10.0)
-        M = spla.LinearOperator((N, N), ilu.solve)
-    except RuntimeError:
-        M = None
     bnorm = float(np.linalg.norm(b))
+
+    def bicgstab(ilu, maxiter):
+        M = None if ilu is None else spla.LinearOperator((N, N), ilu.solve)
+        x, info = spla.bicgstab(
+            A_mat, b, x0=x0, rtol=linear_tol * 0.1, atol=0.0, maxiter=maxiter, M=M
+        )
+        res = float(np.linalg.norm(A_mat @ x - b)) / bnorm
+        return x, info == 0 and np.isfinite(res) and res <= linear_tol
+
     if bnorm == 0.0:
         x = np.zeros(N)
     else:
-        x, info = spla.bicgstab(
-            A_mat,
-            b,
-            x0=x0,
-            rtol=linear_tol * 0.1,
-            atol=0.0,
-            maxiter=linear_max_iters,
-            M=M,
-        )
-        res = float(np.linalg.norm(A_mat @ x - b)) / bnorm
-        if info != 0 or not np.isfinite(res) or res > linear_tol:
+        slot = _FactorSlot() if factor is None else factor
+        ok = False
+        if slot.ilu is not None:
+            x, ok = bicgstab(slot.ilu, min(REUSED_FACTOR_MAX_ITERS, linear_max_iters))
+        if not ok:
+            # minimum-degree ordering of A + A^T suits the structurally
+            # symmetric five-point matrix; SuperLU's default COLAMD, built for
+            # unsymmetric structure, loses so much to the fill cap that
+            # BiCGStab needs tens of iterations per solve
+            try:
+                slot.ilu = spla.spilu(
+                    A_mat, drop_tol=1e-5, fill_factor=10.0, permc_spec="MMD_AT_PLUS_A"
+                )
+            except RuntimeError:
+                slot.ilu = None
+            x, ok = bicgstab(slot.ilu, linear_max_iters)
+        if not ok:
             # BiCGStab's recurrence residual can stagnate a little above a
             # very tight tolerance; a direct factorization still honors the
             # residual contract
@@ -278,6 +314,12 @@ def linear_elliptic_solve(
 def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[ScalarField2D, SolveReport]:
     """Damped frozen-coefficient iteration until the max-norm update is small.
 
+    The first step's ILU factor preconditions every later step's linear
+    solve: the coefficients change little from step to step, so the
+    factor stays nearly exact for them. A step whose solve misses
+    ``linear_tol`` with it factors its own matrix, which later steps then
+    reuse (``linear_elliptic_solve`` gives the full retry order).
+
     Neither convergence failure, nor an iterate whose derivative ratios
     trip the guard, nor a failed density recovery raises; the report comes
     back with a ``stop_reason`` and whatever diagnostics the last iterate
@@ -290,6 +332,7 @@ def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[ScalarField2D, Solv
     F = initial_iterate(inst, gx, gy)
     report = SolveReport()
     ell = np.inf
+    factor = _FactorSlot()
     for k in range(1, cfg.picard_max_iters + 1):
         try:
             coeffs = assemble_coefficients(inst, F)
@@ -304,7 +347,11 @@ def picard_solve(inst: Instance, cfg: SolverConfig) -> tuple[ScalarField2D, Solv
             )
         ell = min(ell, coeffs.margin)
         F_star = linear_elliptic_solve(
-            coeffs, F, linear_tol=cfg.linear_tol, linear_max_iters=cfg.linear_max_iters
+            coeffs,
+            F,
+            linear_tol=cfg.linear_tol,
+            linear_max_iters=cfg.linear_max_iters,
+            factor=factor,
         )
         new_vals = (1.0 - cfg.omega) * F.values + cfg.omega * F_star.values
         update = float(np.max(np.abs(new_vals - F.values)))

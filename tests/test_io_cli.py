@@ -181,7 +181,8 @@ class TestCliSolve:
         # count calls wherever a planeot module looks the functions up
         counts = {}
         # marginal: the instance reads f1 and f2~ from its two quantile
-        # families (2 + 2 calls), the recovered candidate checks its two
+        # families (2 calls) and builds f2 and f1~ only when read, which a
+        # solve never does; the recovered candidate checks its two
         for name in ("hh_residual", "recover_density", "M_field", "marginal"):
             original = getattr(po, name)
 
@@ -218,7 +219,7 @@ class TestCliSolve:
         quantile_calls = counts.pop("quantile")
         assert counts == {
             "hh_residual": 1, "recover_density": 1, "M_field": 1, "ConditionalQuantile": 2,
-            "marginal": 6,
+            "marginal": 4,
         }
         assert quantile_calls == 2 * iterations + 6
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import planeot as po
-from planeot.errors import NegativeMassExcessive, QuantileRangeError
+import planeot.pde as pde
+from planeot.errors import LinearSolveDiverged, NegativeMassExcessive, QuantileRangeError
 from planeot.grids import Grid1D, ScalarField2D
 from planeot.pde import (
     PdeCoefficients,
@@ -21,6 +23,12 @@ def ones_coeffs(gx, gy, c):
     n, m = gx.n, gy.n
     one = ScalarField2D(gx, gy, np.ones((n, m)))
     return PdeCoefficients(one, one, ScalarField2D(gx, gy, np.full((n, m), float(c))))
+
+
+def quadratic_problem():
+    """Manufactured data whose discrete solution is the exact quadratic."""
+    gx, gy = Grid1D(0, 1, 33), Grid1D(1, 2, 33)
+    return ones_coeffs(gx, gy, 4.0), field(gx, gy, lambda X, Y: X**2 + (Y - 1.0) ** 2)
 
 
 class TestBoundary:
@@ -99,11 +107,8 @@ class TestLinearSolve:
         assert np.max(np.abs(sol.values - Fb.values)) < 1e-10
 
     def test_quadratic_manufactured_exact(self):
-        gx, gy = Grid1D(0, 1, 33), Grid1D(1, 2, 33)
-        Fm = field(gx, gy, lambda X, Y: X**2 + (Y - 1.0) ** 2)
-        sol = po.linear_elliptic_solve(
-            ones_coeffs(gx, gy, 4.0), Fm, linear_tol=1e-12
-        )
+        coeffs, Fm = quadratic_problem()
+        sol = po.linear_elliptic_solve(coeffs, Fm, linear_tol=1e-12)
         assert np.max(np.abs(sol.values - Fm.values)) < 1e-10
 
     def test_sine_manufactured_order(self):
@@ -121,6 +126,113 @@ class TestLinearSolve:
             )
             errs.append(np.max(np.abs(sol.values - Fs)))
         assert np.log2(errs[0] / errs[1]) > 1.9
+
+
+class SparseStandIn:
+    """Stand-in for ``pde.spla`` that logs the solver calls in order.
+
+    The log holds ``("spilu", k)`` for the k-th factor, ``("M", k)`` when a
+    preconditioner wraps factor k, ``("bicgstab", maxiter)`` and
+    ``("spsolve", None)``. BiCGStab call number i (from 1) reports failure
+    when ``fail_bicgstab(i)`` is true, whatever it reached; ``spsolve_shift``
+    is added to every direct solution.
+    """
+
+    def __init__(self, fail_bicgstab=lambda i: False, spsolve_shift=0.0):
+        self.log = []
+        self.factors = []
+        self.spsolved = []
+        self._fail = fail_bicgstab
+        self._shift = spsolve_shift
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+    def names(self):
+        return [name for name, _ in self.log]
+
+    def spilu(self, *args, **kwargs):
+        ilu = spla.spilu(*args, **kwargs)
+        self.factors.append(ilu)
+        self.log.append(("spilu", len(self.factors)))
+        return ilu
+
+    def LinearOperator(self, shape, matvec):
+        self.log.append(("M", self.factors.index(matvec.__self__) + 1))
+        return spla.LinearOperator(shape, matvec)
+
+    def bicgstab(self, *args, **kwargs):
+        self.log.append(("bicgstab", kwargs["maxiter"]))
+        x, info = spla.bicgstab(*args, **kwargs)
+        return x, 1 if self._fail(self.names().count("bicgstab")) else info
+
+    def spsolve(self, A, b):
+        self.log.append(("spsolve", None))
+        x = spla.spsolve(A, b) + self._shift
+        self.spsolved.append((A, b, x))
+        return x
+
+
+class TestLinearSolverCalls:
+    def test_solve_factors_once(self, instances, monkeypatch):
+        stand_in = SparseStandIn()
+        monkeypatch.setattr(pde, "spla", stand_in)
+        cfg = po.SolverConfig(nx=33, ny=33)
+        _, rep = po.picard_solve(instances("bilinear", 33), cfg)
+        assert rep.converged
+        names = stand_in.names()
+        assert names.count("spilu") == 1
+        assert names.count("bicgstab") == rep.iterations
+        assert names.count("spsolve") == 0
+        # the first step factors and solves within linear_max_iters; every
+        # later step reuses that factor under the tighter cap
+        cap = pde.REUSED_FACTOR_MAX_ITERS
+        assert stand_in.log == (
+            [("spilu", 1), ("M", 1), ("bicgstab", cfg.linear_max_iters)]
+            + [("M", 1), ("bicgstab", cap)] * (rep.iterations - 1)
+        )
+
+    def test_missed_reuse_refactors_once(self, instances, monkeypatch):
+        inst = instances("bilinear", 33)
+        cfg = po.SolverConfig(nx=33, ny=33)
+        _, ref = po.picard_solve(inst, cfg)
+        # the second BiCGStab call is step 2's attempt with step 1's factor
+        stand_in = SparseStandIn(fail_bicgstab=lambda i: i == 2)
+        monkeypatch.setattr(pde, "spla", stand_in)
+        _, rep = po.picard_solve(inst, cfg)
+        cap = pde.REUSED_FACTOR_MAX_ITERS
+        # step 2 retries with its own factor, and later steps reuse that one
+        assert stand_in.log == (
+            [("spilu", 1), ("M", 1), ("bicgstab", cfg.linear_max_iters)]
+            + [("M", 1), ("bicgstab", cap)]
+            + [("spilu", 2), ("M", 2), ("bicgstab", cfg.linear_max_iters)]
+            + [("M", 2), ("bicgstab", cap)] * (rep.iterations - 2)
+        )
+        assert rep.converged and rep.iterations == ref.iterations
+        assert abs(rep.cost - ref.cost) < 1e-10
+
+    def test_spsolve_honours_residual_contract(self, monkeypatch):
+        stand_in = SparseStandIn(fail_bicgstab=lambda i: True)
+        monkeypatch.setattr(pde, "spla", stand_in)
+        coeffs, Fq = quadratic_problem()
+        sol = po.linear_elliptic_solve(coeffs, Fq, linear_tol=1e-12)
+        # a standalone call factors its own matrix, then falls back once
+        assert stand_in.names() == ["spilu", "M", "bicgstab", "spsolve"]
+        (A, b, x), = stand_in.spsolved
+        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
+        assert np.array_equal(sol.values[1:-1, 1:-1].ravel(), x)
+        assert np.max(np.abs(sol.values - Fq.values)) < 1e-10
+
+    def test_spsolve_above_tolerance_raises(self, monkeypatch):
+        stand_in = SparseStandIn(fail_bicgstab=lambda i: True, spsolve_shift=1e-6)
+        monkeypatch.setattr(pde, "spla", stand_in)
+        coeffs, Fq = quadratic_problem()
+        with pytest.raises(LinearSolveDiverged) as err:
+            po.linear_elliptic_solve(coeffs, Fq, linear_tol=1e-12)
+        (A, b, x), = stand_in.spsolved
+        res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+        assert res > 1e-12
+        assert str(err.value) == f"relative residual {res:.3e} above tolerance 1.0e-12"
 
 
 class TestPicard:
