@@ -14,6 +14,8 @@ end-to-end validation of the reduction.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
@@ -31,12 +33,21 @@ from .grids import (
     trapz_weights,
 )
 
-# the transport LP's peak memory grows by about 0.94 KB per atom pair
-# (dense costs, pairwise differences, constraints and HiGHS; 1.8 GB peak
-# RSS at 37 x 37 atoms a side); 2e6 pairs keep it under a 2 GB budget
+# the guard was set for the dense LP, which handed every pair to HiGHS
+# (1.8 GB peak RSS at 37 x 37 atoms a side). The coarse-to-fine LP keeps
+# only dense n x m costs, reduced costs and masks, and hands HiGHS about
+# 40 pairs per atom: 199 MB peak RSS at 37 x 37 (bilinear, about 80 MB of
+# it the interpreter with numpy and scipy), so 2e6 pairs is now far under
+# a 2 GB budget
 SIZE_GUARD = 2_000_000
-# largest primal-dual gap, relative to the cost, that certifies an LP optimum
+# largest primal-dual gap, relative to the cost, that certifies an LP optimum;
+# also the reduced cost, relative to the cost, below which a pair is priced in
 GAP_TOL = 1e-9
+# up to this many atom pairs the transport LP is solved over every pair;
+# above it the support is seeded from a coarsened pair
+DENSE_PAIRS = 40 * 40
+# most restricted LP solves per level before pricing gives up
+PRICING_ROUNDS = 20
 # marginal projection: at most this many row/column passes, stopping once
 # both marginals are met to the tolerance
 PROJECTION_PASSES = 50
@@ -55,6 +66,10 @@ class AtomizedMeasure:
         weights = np.ascontiguousarray(weights, dtype=float).ravel()
         if len(points) != len(weights):
             raise ValueError("points and weights length mismatch")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("points must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         if np.any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > 1e-12:
@@ -123,34 +138,130 @@ def atomize(d: Density2D, nx: int, ny: int) -> AtomizedMeasure:
 def exact_ot(src: AtomizedMeasure, dst: AtomizedMeasure) -> tuple[TransportPlan, float]:
     """Exact squared-distance transport between two atomized measures.
 
-    Solves the transportation LP with the HiGHS interior-point method
-    (crossover to a vertex included), then certifies optimality by the
-    primal-dual gap before returning. The cost is the squared optimum.
+    Solves the transportation LP coarse to fine on a sparse support.
+    Above ``DENSE_PAIRS`` pairs, each measure's atoms are binned into a
+    k x k grid over its own bounding box (k = isqrt(min(n, m)) // 2, at
+    least 2); a bin's atom carries its members' mass at their weighted
+    mean, and the coarse pair is solved the same way. The seed support is
+    every fine pair whose bin pair (source bx, by, target bx, by) is a pair
+    the coarse plan moves mass between, or one bin away from one along a
+    single coordinate. It is feasible: spreading each coarse cell X_IJ as
+    X_IJ (a_i/A_I) (b_j/B_J) meets both marginals.
+
+    Each round solves the LP restricted to the support with the HiGHS
+    interior-point method (crossover to a vertex included) and prices the
+    reduced costs C - u - v of every pair. Off-support pairs priced below
+    -tol join the support and the LP is solved again; in-support pairs are
+    never priced, since the duals are feasible on them only to the solver's
+    own tolerance. Past ``PRICING_ROUNDS`` rounds the solve fails with
+    ``Infeasible``. At most ``DENSE_PAIRS`` pairs, the support is every
+    pair and one round settles.
+
+    The certificate: tol is ``GAP_TOL`` times the cost (at least 1e-12),
+    and the primal-dual gap may not exceed it. Duals feasible to tol on
+    every pair bound the distance to the optimum over every pair by
+    gap + tol, because the total mass is one. The cost is the squared
+    optimum.
     """
     n, m = len(src.weights), len(dst.weights)
     if n * m > SIZE_GUARD:
         raise SizeGuard(f"{n} x {m} = {n * m} atom pairs exceed the guard of {SIZE_GUARD} pairs")
+    return _transport(src, dst)
+
+
+def _coarsen(am: AtomizedMeasure, k: int) -> tuple[AtomizedMeasure, np.ndarray, np.ndarray]:
+    """Bin ``am`` into a k x k grid over its bounding box.
+
+    Returns the measure of the nonempty bins (mass summed, point at the
+    members' weighted mean), each atom's (bx, by) bin and each coarse
+    atom's (bx, by) bin.
+    """
+    lo = am.points.min(axis=0)
+    span = am.points.max(axis=0) - lo
+    scaled = (am.points - lo) / np.where(span > 0.0, span, 1.0)
+    fine_bins = np.minimum((scaled * k).astype(np.intp), k - 1)
+    flat = fine_bins[:, 0] * k + fine_bins[:, 1]
+    mass = np.bincount(flat, am.weights, minlength=k * k)
+    kept = np.flatnonzero(mass > 0.0)
+    centroid = np.column_stack(
+        [np.bincount(flat, am.weights * am.points[:, d], minlength=k * k)[kept] for d in (0, 1)]
+    ) / mass[kept, None]
+    coarse = AtomizedMeasure(centroid, mass[kept] / mass[kept].sum())
+    return coarse, fine_bins, np.column_stack([kept // k, kept % k])
+
+
+def _neighbourhood(mask: np.ndarray) -> np.ndarray:
+    """Add to a boolean bin-pair mask the pairs one bin away along one axis."""
+    padded = np.pad(mask, 1)
+    inner = (slice(1, -1),) * mask.ndim
+    near = mask.copy()
+    for axis in range(mask.ndim):
+        for step in (-1, 1):
+            near |= np.roll(padded, step, axis=axis)[inner]
+    return near
+
+
+def _seed_support(src: AtomizedMeasure, dst: AtomizedMeasure) -> np.ndarray:
+    """Fine pairs near the support of the coarsened problem's plan."""
+    k = max(2, math.isqrt(min(len(src.weights), len(dst.weights))) // 2)
+    src_c, src_bins, src_cbins = _coarsen(src, k)
+    dst_c, dst_bins, dst_cbins = _coarsen(dst, k)
+    coarse_plan, _ = _transport(src_c, dst_c)
+    I, J = np.nonzero(coarse_plan.plan > 0.0)
+    bins = np.zeros((k, k, k, k), dtype=bool)
+    bins[src_cbins[I, 0], src_cbins[I, 1], dst_cbins[J, 0], dst_cbins[J, 1]] = True
+    near = _neighbourhood(bins)
+    return near[
+        src_bins[:, 0, None], src_bins[:, 1, None], dst_bins[None, :, 0], dst_bins[None, :, 1]
+    ]
+
+
+def _transport(src: AtomizedMeasure, dst: AtomizedMeasure) -> tuple[TransportPlan, float]:
+    """``exact_ot`` without the size guard; recurses on the coarsened pair."""
+    n, m = len(src.weights), len(dst.weights)
     diff = src.points[:, None, :] - dst.points[None, :, :]
     C = np.einsum("ijk,ijk->ij", diff, diff)
-    A_rows = sp.kron(sp.eye(n, format="csr"), np.ones((1, m)), format="csr")
-    A_cols = sp.kron(np.ones((1, n)), sp.eye(m, format="csr"), format="csr")
-    # drop one redundant column constraint to keep the system full rank
-    A_eq = sp.vstack([A_rows, A_cols[:-1]], format="csr")
-    b_eq = np.concatenate([src.weights, dst.weights[:-1]])
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
-    if res.status != 0:
-        raise Infeasible(f"transport LP failed: {res.message}")
-    primal = float(res.fun)
-    u = res.eqlin.marginals[:n]
-    v = np.concatenate([res.eqlin.marginals[n:], [0.0]])
+    if n * m <= DENSE_PAIRS:
+        support = np.ones((n, m), dtype=bool)
+    else:
+        support = _seed_support(src, dst)
+    # one redundant column constraint is dropped to keep the system full rank.
+    # HiGHS's feasibility tolerance (1e-7) is absolute, and unscaled masses of
+    # 24-37 atoms a side came back with plan entries near -1e-7; masses scaled
+    # by n + m are of order one, so its vertex is nonnegative far more tightly
+    scale = n + m
+    b_eq = scale * np.concatenate([src.weights, dst.weights[:-1]])
+    for _ in range(PRICING_ROUNDS):
+        I, J = np.nonzero(support)
+        in_cols = np.flatnonzero(J < m - 1)
+        rows = np.concatenate([I, n + J[in_cols]])
+        cols = np.concatenate([np.arange(len(I)), in_cols])
+        A_eq = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m - 1, len(I)))
+        res = linprog(C[I, J], A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ipm")
+        if res.status != 0:
+            raise Infeasible(f"transport LP failed: {res.message}")
+        primal = float(res.fun) / scale
+        u = res.eqlin.marginals[:n]
+        v = np.concatenate([res.eqlin.marginals[n:], [0.0]])
+        tol = max(GAP_TOL * abs(primal), 1e-12)
+        entering = ~support & (C - u[:, None] - v[None, :] < -tol)
+        if not entering.any():
+            break
+        support |= entering
+    else:
+        raise Infeasible(
+            f"pricing did not settle in {PRICING_ROUNDS} rounds: "
+            f"{np.count_nonzero(entering)} pairs priced below {-tol:.3e} in the last"
+        )
     dual = float(src.weights @ u + dst.weights @ v)
     gap = abs(primal - dual)
-    if gap > max(GAP_TOL * abs(primal), 1e-12):
+    if gap > tol:
         raise Infeasible(
             f"duality certificate failed: gap {gap:.3e} on cost {primal:.6e}"
         )
-    plan = TransportPlan(res.x.reshape(n, m), src, dst, dual_gap=gap)
-    return plan, primal
+    X = np.zeros((n, m))
+    X[I, J] = res.x / scale
+    return TransportPlan(X, src, dst, dual_gap=gap), primal
 
 
 def exact_ot_1d(

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 
 import planeot as po
-from planeot.errors import SizeGuard
+from planeot import oracle
+from planeot.errors import Infeasible, SizeGuard
 from planeot.grids import Density2D, Grid1D
 from planeot.oracle import _fd_gradient, _project_marginals, _value
 
@@ -18,6 +19,57 @@ def bilinear_density(n=33):
     g = Grid1D(0.0, 1.0, n)
     X, Y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     return po.normalize(Density2D(g, g, 1.0 + 0.5 * (2 * X - 1) * (2 * Y - 1)))
+
+
+def random_density(rng, lo=0.0, n=17):
+    g = Grid1D(lo, lo + 1.0, n)
+    return po.normalize(Density2D(g, g, 0.3 + rng.random((n, n))))
+
+
+def dense_reference(src, dst, method="highs-ipm"):
+    """Independent formulation: the transportation LP over every pair,
+    its constraints built by Kronecker products. Returns (plan, cost)."""
+    n, m = len(src.weights), len(dst.weights)
+    diff = src.points[:, None, :] - dst.points[None, :, :]
+    C = np.einsum("ijk,ijk->ij", diff, diff)
+    A_rows = sp.kron(sp.eye(n, format="csr"), np.ones((1, m)), format="csr")
+    A_cols = sp.kron(np.ones((1, n)), sp.eye(m, format="csr"), format="csr")
+    res = linprog(
+        C.ravel(),
+        A_eq=sp.vstack([A_rows, A_cols[:-1]], format="csr"),
+        b_eq=np.concatenate([src.weights, dst.weights[:-1]]),
+        bounds=(0, None),
+        method=method,
+    )
+    assert res.status == 0
+    return res.x.reshape(n, m), res.fun
+
+
+def assert_matches_reference(src, dst, method="highs-ipm"):
+    plan, cost = po.exact_ot(src, dst)
+    ref_plan, ref_cost = dense_reference(src, dst, method)
+    assert abs(cost - ref_cost) <= 1e-12 * abs(ref_cost)
+    for p in (plan.plan, ref_plan):
+        assert np.max(np.abs(p.sum(axis=1) - src.weights)) < 1e-9
+        assert np.max(np.abs(p.sum(axis=0) - dst.weights)) < 1e-9
+    return cost
+
+
+def preset_atoms(name, na):
+    f, ft = po.build_preset(name, 33, 33)
+    return po.atomize(f, na, na), po.atomize(ft, na, na)
+
+
+def count_lp_solves(monkeypatch):
+    """Record the number of variables of every restricted LP solved."""
+    sizes = []
+
+    def counting(c, **kwargs):
+        sizes.append(len(c))
+        return linprog(c, **kwargs)
+
+    monkeypatch.setattr(oracle, "linprog", counting)
+    return sizes
 
 
 class TestAtomize:
@@ -71,35 +123,17 @@ class TestExactOt:
         assert plan.dual_gap <= 1e-9 * cost + 1e-12
 
     def test_lp_cross_check(self):
-        # independent formulation: dense transportation LP through the
-        # dual-simplex path, solved to vertex optimality
+        # the reference through the dual simplex rather than the interior point
         src = po.atomize(uniform_density(17, 0.0), 16, 16)
         dst = po.atomize(bilinear_density(33), 16, 16)
-        plan, cost = po.exact_ot(src, dst)
-        n, m = len(src.weights), len(dst.weights)
-        diff = src.points[:, None, :] - dst.points[None, :, :]
-        C = np.einsum("ijk,ijk->ij", diff, diff)
-        A_rows = sp.kron(sp.eye(n, format="csr"), np.ones((1, m)), format="csr")
-        A_cols = sp.kron(np.ones((1, n)), sp.eye(m, format="csr"), format="csr")
-        res = linprog(
-            C.ravel(),
-            A_eq=sp.vstack([A_rows, A_cols[:-1]], format="csr"),
-            b_eq=np.concatenate([src.weights, dst.weights[:-1]]),
-            bounds=(0, None),
-            method="highs",
-        )
-        assert res.status == 0
-        assert abs(cost - res.fun) < 1e-9
+        assert_matches_reference(src, dst, "highs-ds")
 
     def test_plan_marginals(self, rng):
-        g = Grid1D(0.0, 1.0, 17)
-        d1 = po.normalize(Density2D(g, g, 0.3 + rng.random((17, 17))))
-        g2 = Grid1D(1.0, 2.0, 17)
-        d2 = po.normalize(Density2D(g2, g2, 0.3 + rng.random((17, 17))))
-        src, dst = po.atomize(d1, 8, 8), po.atomize(d2, 9, 7)
-        plan, _ = po.exact_ot(src, dst)
-        assert np.max(np.abs(plan.plan.sum(axis=1) - src.weights)) < 1e-9
-        assert np.max(np.abs(plan.plan.sum(axis=0) - dst.weights)) < 1e-9
+        # unequal sizes, above the size solved over every pair at once
+        src = po.atomize(random_density(rng, 0.0), 8, 8)
+        dst = po.atomize(random_density(rng, 1.0), 9, 7)
+        assert len(src.weights) * len(dst.weights) > oracle.DENSE_PAIRS
+        assert_matches_reference(src, dst)
 
     def test_1d_reduction(self):
         # measures on one horizontal line reduce to the 1D matcher
@@ -112,6 +146,15 @@ class TestExactOt:
         _, cost2d = po.exact_ot(src, dst)
         cost1d = po.exact_ot_1d(wa, xs, wb, xt)
         assert abs(cost2d - cost1d) < 1e-12
+
+    def test_nonfinite_weights_rejected(self):
+        with pytest.raises(ValueError, match="weights"):
+            po.AtomizedMeasure(np.zeros((2, 2)), np.array([np.nan, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_points_rejected(self, bad):
+        with pytest.raises(ValueError, match="points"):
+            po.AtomizedMeasure(np.array([[0.0, 0.0], [bad, 1.0]]), np.array([0.5, 0.5]))
 
     def test_size_guard(self):
         pts = np.zeros((4000, 2))
@@ -131,6 +174,82 @@ class TestExactOt:
             )
             gaps.append(abs(c - rep.cost))
         assert gaps[1] < gaps[0] / 2.0
+
+
+class TestCoarseToFine:
+    """The sparse coarse-to-fine LP against the dense reference, above the
+    size at which ``exact_ot`` stops solving over every pair."""
+
+    def test_uniform_ties(self):
+        src = po.atomize(uniform_density(17, 0.0), 16, 16)
+        dst = po.atomize(uniform_density(17, 1.0), 16, 16)
+        assert len(src.weights) * len(dst.weights) > oracle.DENSE_PAIRS
+        assert_matches_reference(src, dst)
+
+    @pytest.mark.parametrize("na", [16, 24])
+    def test_product_gauss(self, na):
+        assert_matches_reference(*preset_atoms("product-gauss", na))
+
+    @pytest.mark.parametrize("na", [16, 24])
+    def test_random_densities(self, na):
+        # at 24 atoms, a pair on which HiGHS returns plan entries of -9e-8
+        # (inside its absolute 1e-7 tolerance) unless the masses are scaled
+        rng = np.random.default_rng(2)
+        src = po.atomize(random_density(rng, 0.0), na, na)
+        dst = po.atomize(random_density(rng, 1.0), na, na)
+        assert_matches_reference(src, dst)
+
+    def test_random_point_clouds(self, rng):
+        def cloud(n, shift):
+            w = rng.random(n) + 0.1
+            return po.AtomizedMeasure(rng.random((n, 2)) * [1.0, 2.0] + shift, w / w.sum())
+
+        assert_matches_reference(cloud(300, 0.0), cloud(250, 0.5))
+
+    def test_one_line(self, rng):
+        # every atom on y = 0.4: the bins are one row deep, and the cost
+        # is the 1D matcher's
+        def line(n, lo):
+            x = np.sort(lo + rng.random(n))
+            w = rng.random(n) + 0.1
+            return x, w / w.sum()
+
+        xs, wa = line(60, 0.0)
+        xt, wb = line(50, 0.3)
+        src = po.AtomizedMeasure(np.column_stack([xs, np.full(60, 0.4)]), wa)
+        dst = po.AtomizedMeasure(np.column_stack([xt, np.full(50, 0.4)]), wb)
+        cost = assert_matches_reference(src, dst)
+        assert abs(cost - po.exact_ot_1d(wa, xs, wb, xt)) < 1e-12
+
+    def test_pricing_repairs_undilated_seed(self, monkeypatch):
+        # seeded with the coarse support alone, the plan reaches the dense
+        # optimum only by pricing pairs in over further rounds: three levels
+        # (16, 64 and 256 atoms) but more than three LP solves
+        monkeypatch.setattr(oracle, "_neighbourhood", lambda mask: mask)
+        sizes = count_lp_solves(monkeypatch)
+        assert_matches_reference(*preset_atoms("bilinear", 16))
+        assert len(sizes) > 3
+
+    def test_default_atom_count(self):
+        # at 32 atoms a side one level's duals are feasible on their own
+        # support only to about -5e-8, so pricing in-support pairs as well
+        # would re-solve an unchanged LP until the round cap. The dense LP
+        # over every pair, too large for this suite, costs 2.0037394993007163.
+        _, cost = po.exact_ot(*preset_atoms("bilinear", 32))
+        assert abs(cost - 2.0037394993007163) <= 1e-12 * cost
+
+    def test_round_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_neighbourhood", lambda mask: mask)
+        monkeypatch.setattr(oracle, "PRICING_ROUNDS", 1)
+        with pytest.raises(Infeasible, match="did not settle in 1 rounds"):
+            po.exact_ot(*preset_atoms("bilinear", 16))
+
+    def test_dense_below_threshold(self, monkeypatch):
+        # small problems take one LP over every pair
+        sizes = count_lp_solves(monkeypatch)
+        src, dst = preset_atoms("bilinear", 6)
+        po.exact_ot(src, dst)
+        assert sizes == [len(src.weights) * len(dst.weights)]
 
 
 class TestExactOt1d:
