@@ -12,8 +12,12 @@ both strictly increasing in their first argument, so the inverse maps
 (quantiles) exist. Under trapezoid quadrature every conditional CDF is
 piecewise linear along its inverted axis, so quantile evaluation is
 exact for the discrete model: bracket the level, then solve the linear
-piece. The bracket is found by bisection, O(log n) per query, memory
-linear in queries.
+piece. A query conditioned exactly on a table node reads that node's
+column: one ``searchsorted`` over all columns, kept node-major as
+complex keys, brackets any mix of nodes at once. A query between nodes
+blends the two columns around it and is bracketed by bisection. Both
+are O(log n) per query with memory linear in queries, and both return
+the same bits the blend would.
 
 All evaluators accept scalars or broadcastable arrays and are pure.
 """
@@ -66,6 +70,14 @@ class ConditionalQuantile:
         # the same table viewed as (inverted axis, conditioning axis)
         vals = self.cdf_table.values
         self._tbl = vals if self._inv_axis == 0 else vals.T
+        # the columns node-major as keys node + 1j*value; NumPy orders
+        # complex numbers real part first and every column is
+        # non-decreasing, so the keys are sorted and nothing is rounded
+        keys = np.empty(self._tbl.shape[::-1], dtype=complex)
+        keys.real = np.arange(self.cond_grid.n)[:, None]
+        keys.imag = self._tbl.T
+        self._keys = keys.ravel()
+        self._keys.flags.writeable = False
 
     # -- forward -----------------------------------------------------------
 
@@ -76,21 +88,26 @@ class ConditionalQuantile:
     # -- inverse -----------------------------------------------------------
 
     def _check_levels(self, s: np.ndarray) -> np.ndarray:
+        # NaN fails both range comparisons, so it is caught first
+        if not np.all(np.isfinite(s)):
+            raise OutOfRange(f"quantile level {float(s[~np.isfinite(s)][0])!r} is not finite")
         if np.any(s < -LEVEL_CLAMP_TOL) or np.any(s > 1.0 + LEVEL_CLAMP_TOL):
             bad = s[(s < -LEVEL_CLAMP_TOL) | (s > 1.0 + LEVEL_CLAMP_TOL)]
-            raise OutOfRange(
-                f"quantile level {np.atleast_1d(bad).ravel()[0]!r} outside [0, 1]"
-            )
+            raise OutOfRange(f"quantile level {float(bad[0])!r} outside [0, 1]")
         return np.clip(s, 0.0, 1.0)
 
     def quantile(self, s, conditioning):
         """Inverse conditional CDF: the point where cond_cdf reaches level ``s``.
 
-        Each query is bracketed by bisection over its own CDF column, blended
-        between the two conditioning nodes around it: O(log n) per query,
-        memory linear in queries (one gathered table value per query and
-        step). The blend is non-decreasing along the column, so the bracket
-        is the count of column values at or below the level.
+        Each query's CDF column is blended between the two conditioning
+        nodes around it; the blend is non-decreasing, so the bracket is
+        the count of column values at or below the level. A query exactly
+        on a node (blend weight 0, or 1 in the last cell) has that node's
+        column bit for bit, and one ``searchsorted`` over the node-major
+        keys counts for every such query. The others are bracketed by
+        bisection over their blended column. Both take O(log n) per query
+        and memory linear in queries; queries ordered node by node search
+        fastest.
         """
         s_in, c_in = np.broadcast_arrays(
             np.asarray(s, dtype=float), np.asarray(conditioning, dtype=float)
@@ -104,6 +121,40 @@ class ConditionalQuantile:
         t = np.clip((cond - cg.lo) / cg.h, 0.0, cg.n - 1.0)
         j = np.minimum(t.astype(int), cg.n - 2)
         w = t - j
+        last = w == 1.0
+        on = (w == 0.0) | last
+        node = j + last
+        if on.all():
+            idx, c0, c1 = self._node_bracket(sq, node)
+        else:
+            off = ~on
+            idx = np.empty(sq.size, dtype=np.intp)
+            c0 = np.empty(sq.size)
+            c1 = np.empty(sq.size)
+            idx[on], c0[on], c1[on] = self._node_bracket(sq[on], node[on])
+            idx[off], c0[off], c1[off] = self._bisect_bracket(sq[off], j[off], w[off])
+        frac = (sq - c0) / np.maximum(c1 - c0, 1e-300)
+        v = self.inv_grid.nodes[idx] + np.clip(frac, 0.0, 1.0) * self.inv_grid.h
+        v = v.reshape(shape)
+        return v if shape else float(v)
+
+    def _node_bracket(self, sq: np.ndarray, node: np.ndarray):
+        """Bracket (index, lower and upper CDF value) of levels ``sq`` in columns ``node``."""
+        n = self.inv_grid.n
+        query = np.empty(sq.size, dtype=complex)
+        query.real = node
+        query.imag = sq
+        # keys at or below node + 1j*level: every key of an earlier node,
+        # then this column's values at or below the level
+        base = node * n
+        count = np.searchsorted(self._keys, query, side="right") - base
+        idx = np.clip(count - 1, 0, n - 2)
+        flat = base + idx
+        col = self._keys.imag
+        return idx, col[flat], col[flat + 1]
+
+    def _bisect_bracket(self, sq: np.ndarray, j: np.ndarray, w: np.ndarray):
+        """Bracket of levels ``sq`` in columns blended by ``w`` between nodes ``j``, ``j + 1``."""
         wc = 1.0 - w
         j1 = j + 1
         tbl = self._tbl
@@ -124,12 +175,7 @@ class ConditionalQuantile:
             take = (cand <= n) & (column(probe) <= sq)
             np.copyto(count, cand, where=take)
         idx = np.clip(count - 1, 0, n - 2)
-        c0 = column(idx)
-        c1 = column(idx + 1)
-        frac = (sq - c0) / np.maximum(c1 - c0, 1e-300)
-        v = self.inv_grid.nodes[idx] + np.clip(frac, 0.0, 1.0) * self.inv_grid.h
-        v = v.reshape(shape)
-        return v if shape else float(v)
+        return idx, column(idx), column(idx + 1)
 
     def quantile_ds(self, point, conditioning):
         """Derivative of the quantile in its level argument; strictly positive.

@@ -225,7 +225,10 @@ def _quantile_points(inst: Instance, v: np.ndarray, u: np.ndarray, gx: Grid1D, g
     """
     X = np.broadcast_to(gx.nodes[:, None], v.shape)
     Y = np.broadcast_to(gy.nodes[None, :], u.shape)
-    return (v, X, inst.cq_G2.quantile(v, X)), (u, Y, inst.cq_G1_tilde.quantile(u, Y))
+    # node-major (one conditioning node after another) searches fastest;
+    # made C-contiguous again so later sums see the layout they always saw
+    gu = np.ascontiguousarray(inst.cq_G1_tilde.quantile(u.T, Y.T).T)
+    return (v, X, inst.cq_G2.quantile(v, X)), (u, Y, gu)
 
 
 def _levels_and_points(inst: Instance, q: Density2D):

@@ -28,7 +28,7 @@ def _header(tag: str, f: ScalarField2D) -> str:
 
 
 def _write(path: str, tag: str, f: ScalarField2D):
-    rows = [" ".join(repr(float(v)) for v in f.values[:, j]) for j in range(f.gy.n)]
+    rows = [" ".join(map(repr, row)) for row in f.values.T.tolist()]
     with open(path, "w") as fh:
         fh.write(_header(tag, f) + "\n")
         fh.write("\n".join(rows) + "\n")

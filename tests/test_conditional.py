@@ -5,6 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 import planeot as po
+from planeot import io as gridio
+from planeot.cli import main
 from planeot.conditional import (
     FIRST_GIVEN_SECOND,
     SECOND_GIVEN_FIRST,
@@ -138,6 +140,12 @@ class TestQuantile:
         with pytest.raises(OutOfRange):
             cq.quantile(1.01, 1.5)
 
+    def test_nan_level_rejected(self):
+        cq = ConditionalQuantile(uniform_shifted(), FIRST_GIVEN_SECOND)
+        with pytest.raises(OutOfRange, match="level nan is not finite"):
+            cq.quantile(np.nan, 1.5)
+        with pytest.raises(OutOfRange, match="level nan is not finite"):
+            cq.quantile(np.array([0.2, np.nan, 0.7, np.inf]), cq.cond_grid.nodes[:4])
 
     def test_matches_dense_reference(self):
         hyp = pytest.importorskip("hypothesis")
@@ -193,6 +201,46 @@ class TestQuantile:
         finally:
             tracemalloc.stop()
         assert peak / levels.size < 256
+
+
+class TestBracketTraffic:
+    """Which bracket path real solves take: node columns or bisection."""
+
+    def test_preset_solve_stays_on_nodes(self, tmp_path, monkeypatch, capsys):
+        # conditioning on the solve grid lands exactly on table nodes; a
+        # change in node arithmetic would silently send it all to bisection
+        def refuse(*args):
+            raise AssertionError("off-node bracket taken")
+
+        monkeypatch.setattr(ConditionalQuantile, "_bisect_bracket", refuse)
+        rc = main(["solve", "--preset", "bilinear", "--nx", "33", "--ny", "33",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 0
+
+    def test_unnested_file_grid_bisects(self, tmp_path, monkeypatch, capsys):
+        # density files on 100 nodes solved at 65: conditioning falls
+        # between the files' nodes
+        g = Grid1D(0.0, 1.0, 100)
+        X, Y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+        paths = []
+        for name, vals in (
+            ("p.dat", 1.0 + 0.3 * np.sin(3 * X) * np.cos(2 * Y)),
+            ("q.dat", 1.0 + 0.3 * np.exp(-((X - 0.4) ** 2 + (Y - 0.6) ** 2) / 0.1)),
+        ):
+            paths.append(str(tmp_path / name))
+            gridio.write_density(paths[-1], po.normalize(Density2D(g, g, vals)))
+        bisected = []
+        bisect = ConditionalQuantile._bisect_bracket
+
+        def counting(self, sq, j, w):
+            bisected.append(sq.size)
+            return bisect(self, sq, j, w)
+
+        monkeypatch.setattr(ConditionalQuantile, "_bisect_bracket", counting)
+        rc = main(["solve", "--density-p", paths[0], "--density-q", paths[1],
+                   "--nx", "65", "--ny", "65", "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert sum(bisected) > 0
 
 
 class TestQuantileDs:

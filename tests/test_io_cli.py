@@ -11,7 +11,7 @@ import planeot as po
 from planeot import io as gridio
 from planeot.cli import main, parse_config
 from planeot.errors import ConfigError, NonPositiveDensity
-from planeot.grids import Density2D, Grid1D
+from planeot.grids import Density2D, Grid1D, ScalarField2D
 
 
 class TestGridFiles:
@@ -25,6 +25,18 @@ class TestGridFiles:
         assert back.gx == d.gx and back.gy == d.gy
         assert np.array_equal(back.values, d.values)
 
+    def test_written_bytes(self, tmp_path):
+        # one repr per value, row j holding every x at the j-th y
+        g = Grid1D(0.0, 1.0, 3)
+        vals = np.array([[5e-324, 1e-300, 1 / 3], [1e300, 0.5, 2.0], [1.0, 7.25, 1e-7]])
+        f = ScalarField2D(g, g, vals)
+        path = tmp_path / "f.dat"
+        gridio.write_field(str(path), f)
+        rows = [" ".join(repr(float(v)) for v in vals[:, j]) for j in range(3)]
+        header = "# mk-field nx=3 ny=3 xlo=0.0 xhi=1.0 ylo=0.0 yhi=1.0"
+        assert path.read_text() == header + "\n" + "\n".join(rows) + "\n"
+        assert "5e-324" in rows[0] and "1e+300" in rows[0]
+
     def test_header_format(self, tmp_path):
         g = Grid1D(0.0, 1.0, 9)
         d = po.normalize(Density2D(g, g, np.ones((9, 9))))
@@ -36,8 +48,6 @@ class TestGridFiles:
     def test_field_round_trip(self, tmp_path):
         g = Grid1D(0.0, 1.0, 9)
         vals = np.arange(81.0).reshape(9, 9)
-        from planeot.grids import ScalarField2D
-
         path = tmp_path / "f.dat"
         gridio.write_field(str(path), ScalarField2D(g, g, vals))
         back = gridio.read_field(str(path))
