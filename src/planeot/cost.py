@@ -9,11 +9,17 @@ lives on [0,1] x [1,2] with prescribed marginals (``f``'s x-marginal and
     * the 1D quantile-coupling distance between two marginals;
     * the arithmetic relation moving costs between a shifted and an
       unshifted target;
-    * the objective functional over admissible ``q``;
+    * the objective functional over admissible ``q``, through one
+      per-line kernel, ``_line_costs``: the objective is a weighted sum of
+      line costs, one per row of ``q`` (y given x) and one per column
+      (x given y), so the direct-descent oracle's gradient and the
+      stationarity criterion's perturbation deltas re-evaluate only the
+      lines they change;
     * the mixed-derivative potential ``M`` whose stationarity
       characterizes the optimal ``q``, and its closed-form boundary-only
       expression;
-    * marginal-preserving four-square corner perturbations;
+    * marginal-preserving four-square corner perturbations, and the
+      objective change of many of them at once;
     * reconstruction of coupled pairs (X, X~) from points of Z.
 """
 
@@ -51,6 +57,9 @@ from .grids import (
 )
 
 DEFAULT_MARGINAL_TOL = 1e-8
+# largest row or column trapezoid integral a perturbation field may carry;
+# the corner rasters integrate to zero up to roundoff
+MARGINAL_DRIFT_TOL = 1e-12
 
 
 class Instance:
@@ -254,6 +263,44 @@ def _composite_derivative(inst: Instance, points, gx: Grid1D, gy: Grid1D, diff) 
     )
 
 
+def _line_costs(
+    cq: ConditionalQuantile, lines: np.ndarray, nodes: np.ndarray, cond, h: float
+) -> np.ndarray:
+    """Objective contribution of each row of ``lines``: the one objective kernel.
+
+    A row is the candidate along ``nodes`` at conditioning value ``cond``
+    (one value for all rows, or one per row); its contribution is the
+    trapezoid integral of the squared displacement to the quantile point
+    of its own running level, weighted by the row.
+    """
+    levels = cdf_levels(lines, h, axis=1)
+    G = cq.quantile(levels, np.reshape(cond, (-1, 1)))
+    integ = (nodes - G) ** 2 * lines
+    return h * (integ.sum(axis=1) - 0.5 * (integ[:, 0] + integ[:, -1]))
+
+
+def _terms(inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D):
+    """The two objective terms as (quantiles, lines, nodes, conds, h, weights).
+
+    The first term integrates ``q`` along x at each fixed y, so its lines
+    are the columns of ``q``; the second integrates along y at fixed x.
+    Each term is its line costs dotted with ``weights``, the trapezoid
+    weights of the conditioning grid.
+    """
+    return (
+        (inst.cq_G1_tilde, q.T, gx.nodes, gy.nodes, gx.h, gy.h * trapz_weights(gy.n)),
+        (inst.cq_G2, q, gy.nodes, gx.nodes, gy.h, gx.h * trapz_weights(gx.n)),
+    )
+
+
+def _objective_value(inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D) -> float:
+    """The objective of nodal values ``q`` on ``gx`` x ``gy``, unchecked."""
+    return float(sum(
+        _line_costs(cq, lines, nodes, conds, h) @ w
+        for cq, lines, nodes, conds, h, w in _terms(inst, q, gx, gy)
+    ))
+
+
 def objective(inst: Instance, cand: CandidateQ) -> float:
     """The coupling objective of an admissible density.
 
@@ -263,10 +310,7 @@ def objective(inst: Instance, cand: CandidateQ) -> float:
     """
     _check_feasible(cand)
     q = cand.q
-    (_, X, gV), (_, Y, gU) = _levels_and_points(inst, q)
-    term1 = trapz2d((X - gU) ** 2 * q.values, q.gx.h, q.gy.h)
-    term2 = trapz2d((Y - gV) ** 2 * q.values, q.gx.h, q.gy.h)
-    return float(term1 + term2)
+    return _objective_value(inst, q.values, q.gx, q.gy)
 
 
 def split_check(inst: Instance, coupling_sample: np.ndarray) -> float:
@@ -377,13 +421,19 @@ def _hat_raster(grid: Grid1D, lo: float, hi: float) -> np.ndarray:
     return overlap / (h * trapz_weights(grid.n))
 
 
-def perturbation_field(pert: CornerPerturbation, gx: Grid1D, gy: Grid1D) -> np.ndarray:
+def corner_profiles(pert: CornerPerturbation, gx: Grid1D, gy: Grid1D):
+    """The 1D profiles (ux, wy) of a perturbation: its field is delta * outer(ux, wy)."""
     ux = _hat_raster(gx, pert.a, pert.a + pert.eps) - _hat_raster(
         gx, pert.a1, pert.a1 + pert.eps
     )
     wy = _hat_raster(gy, pert.b, pert.b + pert.eps) - _hat_raster(
         gy, pert.b1, pert.b1 + pert.eps
     )
+    return ux, wy
+
+
+def perturbation_field(pert: CornerPerturbation, gx: Grid1D, gy: Grid1D) -> np.ndarray:
+    ux, wy = corner_profiles(pert, gx, gy)
     return pert.delta * np.outer(ux, wy)
 
 
@@ -403,6 +453,54 @@ def apply_perturbation(cand: CandidateQ, pert: CornerPerturbation) -> CandidateQ
         marginal_tol=max(cand.marginal_tol, cand.max_marginal_error + 1e-10),
         floored_mass=cand.floored_mass,
     )
+
+
+def perturbation_deltas(inst: Instance, cand: CandidateQ, profiles) -> np.ndarray:
+    """Objective change of ``cand`` under each field ``outer(ux, wy)`` of ``profiles``.
+
+    Each field is scored on its own, against the unperturbed candidate. A
+    field touches only the rows where ux != 0 and the columns where
+    wy != 0, so only those lines' costs change. Every field's touched
+    lines, perturbed, are stacked behind the candidate's own lines into
+    one ``_line_costs`` call per objective term; each line's weighted
+    change is summed into its field by ``np.bincount``.
+
+    Each field must keep both marginals, the invariant ``apply_perturbation``
+    checks: its row and column trapezoid integrals must vanish to
+    ``MARGINAL_DRIFT_TOL``, or ``MarginalViolation`` is raised. Positivity
+    of the perturbed density is the caller's to check.
+    """
+    _check_feasible(cand)
+    q = cand.q
+    trap_x = q.gx.h * trapz_weights(q.gx.n)
+    trap_y = q.gy.h * trapz_weights(q.gy.n)
+    for t, (ux, wy) in enumerate(profiles):
+        # row integrals are ux * (wy's integral), column integrals wy * (ux's)
+        drift = max(np.max(np.abs(ux)) * abs(wy @ trap_y), np.max(np.abs(wy)) * abs(ux @ trap_x))
+        if drift > MARGINAL_DRIFT_TOL:
+            raise MarginalViolation(
+                f"perturbation {t} moves a marginal by {drift:.3e} "
+                f"(tolerance {MARGINAL_DRIFT_TOL:.1e})"
+            )
+    deltas = np.zeros(len(profiles))
+    if len(profiles) == 0:
+        return deltas
+    # the first term's lines are columns, indexed by y: there the profile
+    # across lines is wy and the one along them ux; the second term's are rows
+    for (cq, lines, nodes, conds, h, w), across in zip(_terms(inst, q.values, q.gx, q.gy), (1, 0)):
+        touched, owner, perturbed = [], [], []
+        for t, prof in enumerate(profiles):
+            idx = np.flatnonzero(prof[across])
+            touched.append(idx)
+            owner.append(np.full(len(idx), t))
+            perturbed.append(lines[idx] + np.outer(prof[across][idx], prof[1 - across]))
+        idx = np.concatenate(touched)
+        costs = _line_costs(
+            cq, np.concatenate([lines, *perturbed]), nodes, np.concatenate([conds, conds[idx]]), h
+        )
+        change = (costs[len(lines):] - costs[idx]) * w[idx]
+        deltas += np.bincount(np.concatenate(owner), change, minlength=len(profiles))
+    return deltas
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,21 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .conditional import ConditionalQuantile
-from .cost import CandidateQ, Instance, make_candidate, objective
+from .cost import (
+    CandidateQ,
+    Instance,
+    _line_costs,
+    _objective_value,
+    _terms,
+    make_candidate,
+    objective,
+)
 from .errors import FloorSaturation, Infeasible, SizeGuard
 from .grids import (
     EPS_POS,
     Density2D,
     Grid1D,
     bilinear,
-    cdf_levels,
     trapz1d,
     trapz_weights,
 )
@@ -327,57 +333,24 @@ def _project_marginals(
     return v
 
 
-def _line_costs(
-    cq: ConditionalQuantile, lines: np.ndarray, nodes: np.ndarray, cond, h: float
-) -> np.ndarray:
-    """Objective contribution of each row of ``lines``.
-
-    A row is the candidate along ``nodes`` at conditioning value ``cond``
-    (one value for all rows, or one per row); its contribution is the
-    trapezoid integral of the squared displacement to the quantile point
-    of its own running level, weighted by the row.
-    """
-    levels = cdf_levels(lines, h, axis=1)
-    G = cq.quantile(levels, np.reshape(cond, (-1, 1)))
-    integ = (nodes - G) ** 2 * lines
-    return h * (integ.sum(axis=1) - 0.5 * (integ[:, 0] + integ[:, -1]))
-
-
-def _terms(inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D):
-    """The two objective terms as (quantiles, lines, nodes, conds, h, weights).
-
-    The first term integrates ``q`` along x at each fixed y, so its lines
-    are the columns of ``q``; the second integrates along y at fixed x.
-    """
-    return (
-        (inst.cq_G1_tilde, q.T, gx.nodes, gy.nodes, gx.h, gy.h * trapz_weights(gy.n)),
-        (inst.cq_G2, q, gy.nodes, gx.nodes, gy.h, gx.h * trapz_weights(gx.n)),
-    )
-
-
-def _value(inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D) -> float:
-    """The objective of nodal values ``q``, without the feasibility check."""
-    return float(sum(
-        _line_costs(cq, lines, nodes, conds, h) @ w
-        for cq, lines, nodes, conds, h, w in _terms(inst, q, gx, gy)
-    ))
-
-
 def _fd_gradient(inst: Instance, q: np.ndarray, gx: Grid1D, gy: Grid1D) -> np.ndarray:
     """Forward-difference gradient of the objective in the nodal values.
 
     A bump at node (i, j) only changes column j of the first term and row
-    i of the second, so each line is re-evaluated for all bump positions
-    at once instead of recomputing the full functional.
+    i of the second, so each term re-evaluates its lines once per bump
+    position along them: every bumped copy of every line goes into one
+    ``_line_costs`` call per term, instead of recomputing the full
+    functional per node.
     """
     grad = np.zeros(q.shape)
     # the first term's lines are columns, so it writes the transposed view
     for (cq, lines, nodes, conds, h, w), out in zip(_terms(inst, q, gx, gy), (grad.T, grad)):
         base = _line_costs(cq, lines, nodes, conds, h)
-        bumps = np.eye(len(nodes)) * FD_STEP
-        for k, line in enumerate(lines):
-            vals = _line_costs(cq, line[None, :] + bumps, nodes, conds[k], h)
-            out[k] += w[k] * (vals - base[k]) / FD_STEP
+        n = len(nodes)
+        # row k * n + j of the stack is line k bumped at its node j
+        bumped = (lines[:, None, :] + np.eye(n) * FD_STEP).reshape(-1, n)
+        vals = _line_costs(cq, bumped, nodes, np.repeat(conds, n), h).reshape(-1, n)
+        out += w[:, None] * (vals - base[:, None]) / FD_STEP
     return grad
 
 
@@ -400,7 +373,7 @@ def minimize_objective_direct(
     t2 = inst.f2_tilde.density_at(gy.nodes)
     t2 = t2 / trapz1d(t2, gy.h)
     q = _project_marginals(np.outer(t1, t2), t1, t2, gx.h, gy.h)
-    best = _value(inst, q, gx, gy)
+    best = _objective_value(inst, q, gx, gy)
     step = 1.0
     for _ in range(iters):
         g = _fd_gradient(inst, q, gx, gy)
@@ -409,7 +382,7 @@ def minimize_objective_direct(
         alpha = step
         for _ in range(25):
             trial = _project_marginals(np.maximum(q - alpha * g, EPS_POS), t1, t2, gx.h, gy.h)
-            val = _value(inst, trial, gx, gy)
+            val = _objective_value(inst, trial, gx, gy)
             if val < best - 1e-14:
                 q, best = trial, val
                 step = alpha * 2.0

@@ -58,9 +58,17 @@ MAX_FLOORED = 0.01
 # BiCGStab iteration cap when an earlier Picard step's ILU factor
 # preconditions a new matrix; a step that misses the tolerance within it
 # factors its own matrix. Reused factors need at most 16 iterations per
-# step on the shipped presets at 33-257 (25 on product-gauss at 513), so
-# the cap only bounds the cost of a bad one
+# step on the shipped presets at 33-513 (product-gauss at 33; at most 2
+# from 257 up), so the cap only bounds the cost of a bad one
 REUSED_FACTOR_MAX_ITERS = 50
+# fill cap of the ILU, nnz(L+U) / nnz(A). The natural fill of the minimum-
+# degree ILU (drop_tol 1e-5) on the first Picard matrix grows by about 1.6
+# per doubling of n: product-gauss 6.06 / 7.63 / 9.26 / 10.84 and bilinear
+# 7.75 / 9.41 / 10.98 (at 129 / 257 / 513, product-gauss from 65). SuperLU
+# spends the cap as a running per-column budget, so a cap just above the
+# natural fill (10 on bilinear 257) still drops enough to cost 5-14 BiCGStab
+# iterations per step; 14 covers the fill at 513 with margin
+ILU_FILL_FACTOR = 14.0
 
 
 @dataclass
@@ -291,7 +299,10 @@ def linear_elliptic_solve(
             # BiCGStab needs tens of iterations per solve
             try:
                 slot.ilu = spla.spilu(
-                    A_mat, drop_tol=1e-5, fill_factor=10.0, permc_spec="MMD_AT_PLUS_A"
+                    A_mat,
+                    drop_tol=1e-5,
+                    fill_factor=ILU_FILL_FACTOR,
+                    permc_spec="MMD_AT_PLUS_A",
                 )
             except RuntimeError:
                 slot.ilu = None

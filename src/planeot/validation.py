@@ -23,16 +23,17 @@ from .conditional import ellipticity_margin
 from .cost import (
     CornerPerturbation,
     apply_perturbation,
+    corner_profiles,
     density_moments,
     krw_1d_distance,
     M_closed_form_residual,
     build_instance,
-    objective,
+    perturbation_deltas,
     shift_cost_relation,
     split_check,
 )
-from .errors import PositivityViolated
-from .grids import Density2D, Grid1D, Marginal1D, ScalarField2D
+from .errors import PlaneOTError
+from .grids import EPS_POS, Density2D, Grid1D, Marginal1D, ScalarField2D
 from .oracle import atomize, exact_ot, exact_ot_1d, minimize_objective_direct
 from .pde import (
     RESIDUAL_MARGIN,
@@ -144,24 +145,38 @@ def draw_perturbation(rng: np.random.Generator, delta: float) -> CornerPerturbat
 
 
 def criterion_stationarity(ws: Workspace, rng: np.random.Generator) -> CriterionResult:
-    """Both-sign corner perturbations never improve the converged objective."""
+    """Both-sign corner perturbations never improve the converged objective.
+
+    Per preset at 65x65, trials are drawn in pairs, a +1e-3 perturbation
+    and then a -1e-3 one, until 100 pairs pass or 2000 pairs were tried. A
+    trial fails when it would drive the density below ``EPS_POS``, as
+    ``apply_perturbation`` would refuse it. A pair whose + trial fails
+    draws no - trial. A + trial whose - partner fails is still scored, and
+    can set the worst delta, but its pair does not count as passed.
+
+    Trials are scored together: ``perturbation_deltas`` re-evaluates only
+    the objective lines each trial touches, in one kernel call per
+    objective term and preset, against the solve's own line costs.
+    """
     worst_overall = np.inf
     parts = []
     for preset in PRESET_NAMES:
         inst, F, rep = ws.solve(preset, 65)
-        base = rep.cost
-        worst = np.inf
+        q = rep.candidate.q
+        profiles = []
         done = tries = 0
         while done < 100 and tries < 2000:
             tries += 1
-            try:
-                for sign in (1.0, -1.0):
-                    pert = draw_perturbation(rng, sign * 1e-3)
-                    trial = apply_perturbation(rep.candidate, pert)
-                    worst = min(worst, objective(inst, trial) - base)
-            except PositivityViolated:
-                continue
-            done += 1
+            for sign in (1.0, -1.0):
+                pert = draw_perturbation(rng, sign * 1e-3)
+                ux, wy = corner_profiles(pert, q.gx, q.gy)
+                ux = pert.delta * ux
+                if np.min(q.values + np.outer(ux, wy)) < EPS_POS:
+                    break
+                profiles.append((ux, wy))
+            else:
+                done += 1
+        worst = float(np.min(perturbation_deltas(inst, rep.candidate, profiles), initial=np.inf))
         worst_overall = min(worst_overall, worst)
         parts.append(f"{preset}:{worst:.2e}({done})")
     ok = worst_overall >= -1e-6
@@ -386,20 +401,35 @@ def run_criteria(
     oracle_atoms: int = 32,
     omega: float = 0.7,
 ) -> list[CriterionResult]:
-    """Run all acceptance criteria and return one result per criterion."""
+    """Run all acceptance criteria and return one result per criterion.
+
+    A criterion that raises a ``PlaneOTError`` becomes a FAIL row whose
+    detail names the error; the criteria after it still run.
+    """
     ws = Workspace(seed=seed, omega=omega)
     rng = np.random.default_rng(seed)
-    results = [
-        criterion_uniform_pde(ws),
-        criterion_product_recovery(ws),
-        criterion_bilinear_triangulation(ws, oracle, oracle_atoms),
-        criterion_stationarity(ws, rng),
-        criterion_residual_refinement(ws),
-        criterion_closed_form_m(ws),
-        criterion_identities(ws, rng, oracle, oracle_atoms),
-        criterion_one_d_agreement(ws, oracle),
-        criterion_ellipticity(ws),
-        criterion_manufactured(ws),
-        criterion_determinism(ws),
+    criteria = [
+        ("uniform-pde", lambda: criterion_uniform_pde(ws)),
+        ("product-gauss-recovery", lambda: criterion_product_recovery(ws)),
+        (
+            "bilinear-triangulation",
+            lambda: criterion_bilinear_triangulation(ws, oracle, oracle_atoms),
+        ),
+        ("stationarity", lambda: criterion_stationarity(ws, rng)),
+        ("residual-refinement", lambda: criterion_residual_refinement(ws)),
+        ("closed-form-m", lambda: criterion_closed_form_m(ws)),
+        ("algebraic-identities", lambda: criterion_identities(ws, rng, oracle, oracle_atoms)),
+        ("one-d-agreement", lambda: criterion_one_d_agreement(ws, oracle)),
+        ("ellipticity", lambda: criterion_ellipticity(ws)),
+        ("manufactured-solutions", lambda: criterion_manufactured(ws)),
+        ("determinism", lambda: criterion_determinism(ws)),
     ]
+    results = []
+    for key, criterion in criteria:
+        try:
+            results.append(criterion())
+        except PlaneOTError as e:
+            # one line, so the report's table stays one row per criterion
+            message = " ".join(str(e).split())
+            results.append(CriterionResult(key, "FAIL", f"{type(e).__name__}: {message}"))
     return results

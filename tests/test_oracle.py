@@ -7,7 +7,8 @@ import planeot as po
 from planeot import oracle
 from planeot.errors import Infeasible, SizeGuard
 from planeot.grids import Density2D, Grid1D
-from planeot.oracle import _fd_gradient, _project_marginals, _value
+from planeot.cost import _objective_value
+from planeot.oracle import _fd_gradient, _project_marginals
 
 
 def uniform_density(n=17, lo=0.0):
@@ -313,11 +314,11 @@ class TestDirectMinimizer:
         t2 = inst.f2_tilde.density_at(gy.nodes)
         q = _project_marginals(np.outer(t1, t2), t1, t2, gx.h, gy.h)
         g_fast = _fd_gradient(inst, q, gx, gy)
-        base = _value(inst, q, gx, gy)
+        base = _objective_value(inst, q, gx, gy)
         g_naive = np.zeros_like(q)
         for i in range(nx):
             for j in range(ny):
                 bumped = q.copy()
                 bumped[i, j] += 1e-6
-                g_naive[i, j] = (_value(inst, bumped, gx, gy) - base) / 1e-6
+                g_naive[i, j] = (_objective_value(inst, bumped, gx, gy) - base) / 1e-6
         assert np.max(np.abs(g_fast - g_naive)) < 1e-8

@@ -133,13 +133,15 @@ class SparseStandIn:
 
     The log holds ``("spilu", k)`` for the k-th factor, ``("M", k)`` when a
     preconditioner wraps factor k, ``("bicgstab", maxiter)`` and
-    ``("spsolve", None)``. BiCGStab call number i (from 1) reports failure
+    ``("spsolve", None)``; ``iterations`` holds each BiCGStab call's
+    iteration count. BiCGStab call number i (from 1) reports failure
     when ``fail_bicgstab(i)`` is true, whatever it reached; ``spsolve_shift``
     is added to every direct solution.
     """
 
     def __init__(self, fail_bicgstab=lambda i: False, spsolve_shift=0.0):
         self.log = []
+        self.iterations = []
         self.factors = []
         self.spsolved = []
         self._fail = fail_bicgstab
@@ -163,7 +165,9 @@ class SparseStandIn:
 
     def bicgstab(self, *args, **kwargs):
         self.log.append(("bicgstab", kwargs["maxiter"]))
-        x, info = spla.bicgstab(*args, **kwargs)
+        steps = []
+        x, info = spla.bicgstab(*args, callback=steps.append, **kwargs)
+        self.iterations.append(len(steps))
         return x, 1 if self._fail(self.names().count("bicgstab")) else info
 
     def spsolve(self, A, b):
@@ -210,6 +214,20 @@ class TestLinearSolverCalls:
         )
         assert rep.converged and rep.iterations == ref.iterations
         assert abs(rep.cost - ref.cost) < 1e-10
+
+    def test_fill_cap_keeps_reused_factor_near_exact_at_257(self, instances, monkeypatch):
+        # bilinear 257's natural fill (9.41) sat just under the old cap of
+        # 10, which left a factor needing 5-14 iterations per reused step
+        stand_in = SparseStandIn()
+        monkeypatch.setattr(pde, "spla", stand_in)
+        _, rep = po.picard_solve(instances("bilinear", 257), po.SolverConfig(nx=257, ny=257))
+        assert rep.converged
+        assert stand_in.names().count("spilu") == 1
+        cap = pde.REUSED_FACTOR_MAX_ITERS
+        caps = [maxiter for name, maxiter in stand_in.log if name == "bicgstab"]
+        reused = [k for maxiter, k in zip(caps, stand_in.iterations) if maxiter == cap]
+        assert len(reused) == rep.iterations - 1
+        assert max(reused) <= 3, reused
 
     def test_spsolve_honours_residual_contract(self, monkeypatch):
         stand_in = SparseStandIn(fail_bicgstab=lambda i: True)
