@@ -40,8 +40,8 @@ class TestBoundary:
         assert np.allclose(right, gy.nodes - 1.0, atol=1e-12)
 
     def test_initial_iterate_ratios_admissible(self, instances):
-        # the product start keeps both derivative ratios inside [0, 1]
-        # even for strongly non-uniform marginals
+        # from 33 nodes up the product start keeps both derivative ratios
+        # within the guard even for strongly non-uniform marginals
         inst = instances("product-gauss", 65)
         gx, gy = Grid1D(0, 1, 65), Grid1D(1, 2, 65)
         F0 = initial_iterate(inst, gx, gy)
@@ -251,6 +251,101 @@ class TestLinearSolverCalls:
         res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
         assert res > 1e-12
         assert str(err.value) == f"relative residual {res:.3e} above tolerance 1.0e-12"
+
+    def test_linear_solve_failure_stops_solve(self, instances, monkeypatch):
+        # step 2's reused factor misses, its own factor misses too, and the
+        # direct solve lands above linear_tol
+        stand_in = SparseStandIn(fail_bicgstab=lambda i: i >= 2, spsolve_shift=1e-6)
+        monkeypatch.setattr(pde, "spla", stand_in)
+        F, rep = po.picard_solve(instances("bilinear", 33), po.SolverConfig(nx=33, ny=33))
+        assert stand_in.names().count("spsolve") == 1
+        assert not rep.converged and rep.iterations == 1
+        assert rep.stop_reason.startswith("linear solve at Picard iteration 2: relative residual")
+        assert np.isfinite(rep.cost)
+
+    def test_linear_solve_failure_cli_exit_two(self, tmp_path, monkeypatch, capsys):
+        from planeot.cli import main
+
+        monkeypatch.setattr(pde, "spla", SparseStandIn(lambda i: True, spsolve_shift=1e-6))
+        out = tmp_path / "run"
+        rc = main(["solve", "--preset", "bilinear", "--nx", "17", "--ny", "17", "--out", str(out)])
+        assert rc == 2
+        report = (out / "report.txt").read_text()
+        assert "iterations = 0" in report and "converged = false" in report
+        err = capsys.readouterr().err
+        assert "solve stopped: linear solve at Picard iteration 1: relative residual" in err
+
+
+def scripted_assembly(monkeypatch, raise_on):
+    """Make ``pde.assemble_coefficients`` raise on the listed calls (from 1).
+
+    Returns the list of iterates it was called with, in order.
+    """
+    seen = []
+    real = pde.assemble_coefficients
+
+    def scripted(inst, F):
+        seen.append(F.values)
+        if len(seen) in raise_on:
+            raise QuantileRangeError(f"scripted at call {len(seen)}")
+        return real(inst, F)
+
+    monkeypatch.setattr(pde, "assemble_coefficients", scripted)
+    return seen
+
+
+def plain_damped_cost(inst, cfg):
+    """Cost of the unaccelerated damped iteration, the reference for Anderson."""
+    gx, gy = Grid1D(0.0, 1.0, cfg.nx), Grid1D(1.0, 2.0, cfg.ny)
+    F = initial_iterate(inst, gx, gy)
+    for _ in range(cfg.picard_max_iters):
+        F_star = po.linear_elliptic_solve(po.assemble_coefficients(inst, F), F)
+        new = (1.0 - cfg.omega) * F.values + cfg.omega * F_star.values
+        update = np.max(np.abs(new - F.values))
+        F = ScalarField2D(gx, gy, new)
+        if update <= cfg.picard_tol:
+            return po.objective(inst, po.recover_density(inst, F))
+    raise AssertionError("plain damped iteration did not converge")
+
+
+class TestAnderson:
+    def test_matches_plain_damped_iteration(self, solves):
+        inst, _, rep, _ = solves("bilinear", 33)
+        assert abs(rep.cost - plain_damped_cost(inst, po.SolverConfig(nx=33, ny=33))) < 1e-8
+
+    @pytest.mark.parametrize("preset, n, ceiling", [("bilinear", 33, 8), ("product-gauss", 65, 12)])
+    def test_iteration_ceiling(self, solves, preset, n, ceiling):
+        # the plain damped iteration takes 13 and 15
+        _, _, rep, _ = solves(preset, n)
+        assert rep.converged and rep.iterations <= ceiling
+
+    def test_guard_on_extrapolated_iterate_takes_plain_step(self, instances, solves, monkeypatch):
+        inst = instances("bilinear", 33)
+        _, _, ref, _ = solves("bilinear", 33)
+        cfg = po.SolverConfig(nx=33, ny=33)
+        # calls 1 and 2 assemble the start and the first plain damped
+        # iterate; call 3 is the first extrapolated one
+        seen = scripted_assembly(monkeypatch, raise_on={3})
+        _, rep = po.picard_solve(inst, cfg)
+        assert rep.converged and rep.stop_reason is None
+        # one assembly per step, plus the one that raised
+        assert len(seen) == rep.iterations + 1
+        # call 4 is step 2's plain damped iterate, which the extrapolated
+        # one of call 3 is not; F* is solved again here to linear_tol
+        F2 = ScalarField2D(Grid1D(0, 1, 33), Grid1D(1, 2, 33), seen[1])
+        F_star = po.linear_elliptic_solve(po.assemble_coefficients(inst, F2), F2).values
+        plain = (1.0 - cfg.omega) * F2.values + cfg.omega * F_star
+        assert np.max(np.abs(seen[3] - plain)) < 1e-9
+        assert np.max(np.abs(seen[2] - plain)) > 1e-6
+        assert abs(rep.cost - ref.cost) < cfg.picard_tol
+
+    @pytest.mark.parametrize("raise_on, k", [({2}, 2), ({3, 4}, 3)])
+    def test_guard_on_plain_iterate_stops(self, instances, monkeypatch, raise_on, k):
+        # {3, 4}: the extrapolated iterate and its plain fallback both trip
+        scripted_assembly(monkeypatch, raise_on)
+        _, rep = po.picard_solve(instances("bilinear", 33), po.SolverConfig(nx=33, ny=33))
+        assert not rep.converged and rep.iterations == k - 1
+        assert rep.stop_reason.startswith(f"ratio guard at Picard iteration {k}: scripted")
 
 
 class TestPicard:
