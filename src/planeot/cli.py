@@ -2,8 +2,9 @@
 
 Configuration comes from an optional JSON file plus flag overrides; the
 fully-resolved form is echoed to the output directory so a run can be
-reproduced exactly. Exit codes: 0 success, 1 error, 2 a solve that stopped
-short of a full result (non-convergence or a failed density recovery).
+reproduced exactly. Exit codes: 0 success, 1 error, 2 a run that stopped
+short of a full result (non-convergence, a failed linear solve or density
+recovery, or a failed transport LP); it still writes its partial report.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import io as gridio
 from .conditional import ellipticity_margin
 from .cost import build_instance, density_moments, krw_1d_distance, shift_cost_relation
-from .errors import ConfigError, PlaneOTError
+from .errors import ConfigError, Infeasible, PlaneOTError
 from .grids import Density2D, Grid1D, Marginal1D
 from .oracle import SIZE_GUARD, atomize, exact_ot, exact_ot_1d
 from .pde import SolverConfig, picard_solve
@@ -172,21 +173,21 @@ def run_solve(cfg: RunConfig) -> int:
             ("cost_pq", cost_pq),
             ("w2_pq", float(np.sqrt(max(cost_pq, 0.0)))),
         ]
+    stop_reason = report.stop_reason
     if cfg.oracle:
         src = atomize(inst.f, cfg.oracle_atoms, cfg.oracle_atoms)
         dst = atomize(inst.f_tilde, cfg.oracle_atoms, cfg.oracle_atoms)
-        plan, ot_cost = exact_ot(src, dst)
-        pairs += [
-            ("oracle_cost", ot_cost),
-            ("oracle_dual_gap", plan.dual_gap),
-            ("oracle_rel_gap", abs(report.cost - ot_cost) / ot_cost),
-        ]
-    report_text = gridio.render_report(pairs)
-    _emit(cfg, "report.txt", report_text)
-    if report.stop_reason is None:
-        return 0
-    sys.stderr.write(f"solve stopped: {report.stop_reason}\n")
-    return 2
+        try:
+            plan, ot_cost = exact_ot(src, dst)
+        except Infeasible as e:
+            stop_reason = stop_reason or f"oracle: {e}"
+        else:
+            pairs += [
+                ("oracle_cost", ot_cost),
+                ("oracle_dual_gap", plan.dual_gap),
+                ("oracle_rel_gap", abs(report.cost - ot_cost) / ot_cost),
+            ]
+    return _finish(cfg, "solve", "report.txt", pairs, stop_reason)
 
 
 def run_validate(cfg: RunConfig) -> int:
@@ -246,7 +247,13 @@ def run_oracle(cfg: RunConfig) -> int:
     inst, q_orig = _load_instance(cfg)
     src = atomize(inst.f, cfg.oracle_atoms, cfg.oracle_atoms)
     dst = atomize(inst.f_tilde, cfg.oracle_atoms, cfg.oracle_atoms)
-    plan, cost = exact_ot(src, dst)
+    try:
+        plan, cost = exact_ot(src, dst)
+        if q_orig is not None:
+            _, cost_pq = exact_ot(src, atomize(q_orig, cfg.oracle_atoms, cfg.oracle_atoms))
+    except Infeasible as e:
+        # the config echo is the partial report
+        return _finish(cfg, "oracle", "oracle_report.txt", pairs, str(e))
     pairs += [
         ("oracle_atoms", cfg.oracle_atoms),
         ("oracle_cost", cost),
@@ -255,11 +262,17 @@ def run_oracle(cfg: RunConfig) -> int:
         ("ellipticity_margin", ellipticity_margin(inst.cq_G1_tilde, inst.cq_G2)),
     ]
     if q_orig is not None:
-        srcq = atomize(q_orig, cfg.oracle_atoms, cfg.oracle_atoms)
-        _, cost_pq = exact_ot(src, srcq)
         pairs += [("oracle_cost_pq", cost_pq)]
-    _emit(cfg, "oracle_report.txt", gridio.render_report(pairs))
-    return 0
+    return _finish(cfg, "oracle", "oracle_report.txt", pairs, None)
+
+
+def _finish(cfg: RunConfig, command: str, name: str, pairs: list, stop_reason: str | None) -> int:
+    """Write the report; exit 0, or 2 with one stderr line naming the stop."""
+    _emit(cfg, name, gridio.render_report(pairs))
+    if stop_reason is None:
+        return 0
+    sys.stderr.write(f"{command} stopped: {stop_reason}\n")
+    return 2
 
 
 def _emit(cfg: RunConfig, name: str, text: str):

@@ -213,19 +213,6 @@ def _check_feasible(cand: CandidateQ):
         )
 
 
-def _conditional_levels(q: Density2D, axis: int) -> np.ndarray:
-    """Running conditional-CDF levels of ``q`` along ``axis``, in [0, 1].
-
-    Each line is normalized by its own mass so levels end exactly at 1;
-    anything outside [0, 1] beyond roundoff would be a construction bug.
-    """
-    h = q.gx.h if axis == 0 else q.gy.h
-    levels = cdf_levels(q.values, h, axis=axis)
-    if levels.min() < -1e-9 or levels.max() > 1.0 + 1e-9:
-        raise OutOfRange("conditional level left [0, 1] beyond the roundoff guard")
-    return np.clip(levels, 0.0, 1.0)
-
-
 def _quantile_points(inst: Instance, v: np.ndarray, u: np.ndarray, gx: Grid1D, gy: Grid1D):
     """Quantile points of both families at levels ``v`` (y given x), ``u`` (x given y).
 
@@ -242,8 +229,8 @@ def _quantile_points(inst: Instance, v: np.ndarray, u: np.ndarray, gx: Grid1D, g
 
 def _levels_and_points(inst: Instance, q: Density2D):
     """Conditional levels of ``q`` and their quantile points, as ``_quantile_points``."""
-    V = _conditional_levels(q, axis=1)
-    U = _conditional_levels(q, axis=0)
+    V = cdf_levels(q.values, q.gy.h, axis=1)
+    U = cdf_levels(q.values, q.gx.h, axis=0)
     return _quantile_points(inst, V, U, q.gx, q.gy)
 
 

@@ -108,8 +108,9 @@ class SolveReport:
     much mass floored away, or marginals outside the 25 h^2 slack); ``hh``
     is None when the last iterate's derivative ratios left [0, 1] beyond
     the guard. ``stop_reason`` says why a solve stopped short of a full
-    result (the ratio guard, a stall or a failed density recovery) and is
-    None when it converged and its density was recovered.
+    result (the ratio guard, a stall, a failed linear solve or a failed
+    density recovery) and is None when it converged and its density was
+    recovered.
     """
 
     iterations: int = 0
@@ -239,8 +240,8 @@ class _FactorSlot:
 def linear_elliptic_solve(
     coeffs: PdeCoefficients,
     boundary: ScalarField2D,
-    linear_tol: float = 1e-10,
-    linear_max_iters: int = 20000,
+    linear_tol: float = SolverConfig.linear_tol,
+    linear_max_iters: int = SolverConfig.linear_max_iters,
     factor: _FactorSlot | None = None,
 ) -> ScalarField2D:
     """Solve A d2x F + B d2y F = C on interior nodes with given Dirichlet data.
@@ -253,11 +254,11 @@ def linear_elliptic_solve(
     1. when ``factor`` holds an earlier step's ILU, BiCGStab with it, at
        most ``REUSED_FACTOR_MAX_ITERS`` iterations;
     2. BiCGStab with a fresh ILU of this matrix, which replaces the one in
-       ``factor``, at most ``linear_max_iters`` iterations;
-    3. a direct ``spsolve``; ``LinearSolveDiverged`` if even its residual
-       is above ``linear_tol``.
+       ``factor``, at most ``linear_max_iters`` iterations.
 
-    Without ``factor`` a call factors its own matrix.
+    ``LinearSolveDiverged`` names the second attempt's relative residual
+    when it misses too, or the error of an ILU that fails. Without
+    ``factor`` a call factors its own matrix.
     """
     gx, gy = boundary.gx, boundary.gy
     n, m = gx.n, gy.n
@@ -291,21 +292,26 @@ def linear_elliptic_solve(
     bnorm = float(np.linalg.norm(b))
 
     def bicgstab(ilu, maxiter):
-        M = None if ilu is None else spla.LinearOperator((N, N), ilu.solve)
+        """BiCGStab preconditioned by ``ilu``: (x, None) or (x, why it missed)."""
+        M = spla.LinearOperator((N, N), ilu.solve, dtype=float)
         x, info = spla.bicgstab(
             A_mat, b, x0=x0, rtol=linear_tol * 0.1, atol=0.0, maxiter=maxiter, M=M
         )
         res = float(np.linalg.norm(A_mat @ x - b)) / bnorm
-        return x, info == 0 and np.isfinite(res) and res <= linear_tol
+        if info == 0 and res <= linear_tol:
+            return x, None
+        return x, (
+            f"BiCGStab missed tolerance {linear_tol:.1e}: relative residual "
+            f"{res:.3e}, info {info}"
+        )
 
     if bnorm == 0.0:
         x = np.zeros(N)
     else:
         slot = _FactorSlot() if factor is None else factor
-        ok = False
         if slot.ilu is not None:
-            x, ok = bicgstab(slot.ilu, min(REUSED_FACTOR_MAX_ITERS, linear_max_iters))
-        if not ok:
+            x, miss = bicgstab(slot.ilu, min(REUSED_FACTOR_MAX_ITERS, linear_max_iters))
+        if slot.ilu is None or miss:
             # minimum-degree ordering of A + A^T suits the structurally
             # symmetric five-point matrix; SuperLU's default COLAMD, built for
             # unsymmetric structure, loses so much to the fill cap that
@@ -317,19 +323,11 @@ def linear_elliptic_solve(
                     fill_factor=ILU_FILL_FACTOR,
                     permc_spec="MMD_AT_PLUS_A",
                 )
-            except RuntimeError:
-                slot.ilu = None
-            x, ok = bicgstab(slot.ilu, linear_max_iters)
-        if not ok:
-            # BiCGStab's recurrence residual can stagnate a little above a
-            # very tight tolerance; a direct factorization still honors the
-            # residual contract
-            x = spla.spsolve(A_mat, b)
-            res = float(np.linalg.norm(A_mat @ x - b)) / bnorm
-            if not np.isfinite(res) or res > linear_tol:
-                raise LinearSolveDiverged(
-                    f"relative residual {res:.3e} above tolerance {linear_tol:.1e}"
-                )
+            except RuntimeError as e:
+                raise LinearSolveDiverged(f"incomplete LU failed: {e}") from None
+            x, miss = bicgstab(slot.ilu, linear_max_iters)
+            if miss:
+                raise LinearSolveDiverged(miss)
     out = bvals.copy()
     out[1:-1, 1:-1] = x.reshape(ni, mi)
     return ScalarField2D(gx, gy, out)

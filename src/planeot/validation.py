@@ -58,7 +58,7 @@ class CriterionResult:
 class Workspace:
     """Caches instances and their solves across criteria."""
 
-    def __init__(self, seed: int = 0, omega: float = 0.7):
+    def __init__(self, seed: int, omega: float):
         self.seed = int(seed)
         self.omega = float(omega)
         self._solves: dict = {}
@@ -396,10 +396,7 @@ def criterion_determinism(ws: Workspace) -> CriterionResult:
 
 
 def run_criteria(
-    seed: int = 0,
-    oracle: bool = True,
-    oracle_atoms: int = 32,
-    omega: float = 0.7,
+    seed: int, oracle: bool, oracle_atoms: int, omega: float = SolverConfig.omega
 ) -> list[CriterionResult]:
     """Run all acceptance criteria and return one result per criterion.
 

@@ -3,6 +3,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,12 @@ from planeot import io as gridio
 from planeot.cli import main, parse_config
 from planeot.errors import ConfigError, NonPositiveDensity
 from planeot.grids import Density2D, Grid1D, ScalarField2D
+
+
+def fail_transport_lp(monkeypatch):
+    """Make every transport LP report a failed solve."""
+    failed = SimpleNamespace(status=2, message="scripted failure")
+    monkeypatch.setattr("planeot.oracle.linprog", lambda *args, **kwargs: failed)
 
 
 class TestGridFiles:
@@ -318,6 +325,30 @@ class TestCliSolve:
         assert "config.oracle = false" in report
         assert "oracle_cost" not in report
 
+    @pytest.mark.parametrize(
+        "preset, converged, stop",
+        [
+            ("uniform", "true", "oracle: transport LP failed: scripted failure"),
+            # the solve's own stop reason wins over the oracle's
+            ("product-gauss", "false", "ratio guard at Picard iteration 1: "),
+        ],
+        ids=["converged", "solve-stopped"],
+    )
+    def test_failed_transport_lp_exit_two(
+        self, tmp_path, monkeypatch, capsys, preset, converged, stop
+    ):
+        fail_transport_lp(monkeypatch)
+        out = tmp_path / "run"
+        rc = main(["solve", "--preset", preset, "--nx", "17", "--ny", "17",
+                   "--oracle-atoms", "8", "--out", str(out)])
+        assert rc == 2
+        report = (out / "report.txt").read_text()
+        assert f"converged = {converged}" in report
+        assert "config.oracle = true" in report
+        assert not re.search(r"^oracle_", report, re.MULTILINE)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"solve stopped: {stop}")
+
 
 class TestCliOther:
     def test_distance1d(self, tmp_path, capsys):
@@ -337,6 +368,19 @@ class TestCliOther:
         report = (out / "oracle_report.txt").read_text()
         lines = dict(l.split(" = ") for l in report.splitlines() if " = " in l)
         assert abs(float(lines["oracle_cost"]) - 2.0) < 1e-9
+
+    def test_oracle_command_failed_lp_exit_two(self, tmp_path, monkeypatch, capsys):
+        fail_transport_lp(monkeypatch)
+        out = tmp_path / "orc"
+        rc = main(["oracle", "--preset", "uniform", "--nx", "17", "--ny", "17",
+                   "--oracle-atoms", "8", "--out", str(out)])
+        assert rc == 2
+        # the partial report is the config echo
+        report = (out / "oracle_report.txt").read_text()
+        keys = [l.split(" = ")[0] for l in report.splitlines() if " = " in l]
+        assert keys and all(k.startswith("config.") for k in keys)
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["oracle stopped: transport LP failed: scripted failure"]
 
     def test_resolved_config_round_trip(self, tmp_path, capsys):
         out = tmp_path / "run"

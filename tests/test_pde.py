@@ -132,20 +132,19 @@ class SparseStandIn:
     """Stand-in for ``pde.spla`` that logs the solver calls in order.
 
     The log holds ``("spilu", k)`` for the k-th factor, ``("M", k)`` when a
-    preconditioner wraps factor k, ``("bicgstab", maxiter)`` and
-    ``("spsolve", None)``; ``iterations`` holds each BiCGStab call's
-    iteration count. BiCGStab call number i (from 1) reports failure
-    when ``fail_bicgstab(i)`` is true, whatever it reached; ``spsolve_shift``
-    is added to every direct solution.
+    preconditioner wraps factor k and ``("bicgstab", maxiter)``;
+    ``iterations`` holds each BiCGStab call's iteration count and
+    ``solved`` its (A, b, x). Preconditioners must declare their dtype.
+    BiCGStab call number i (from 1) reports failure when
+    ``fail_bicgstab(i)`` is true, whatever it reached.
     """
 
-    def __init__(self, fail_bicgstab=lambda i: False, spsolve_shift=0.0):
+    def __init__(self, fail_bicgstab=lambda i: False):
         self.log = []
         self.iterations = []
         self.factors = []
-        self.spsolved = []
+        self.solved = []
         self._fail = fail_bicgstab
-        self._shift = spsolve_shift
 
     def __getattr__(self, name):
         return getattr(spla, name)
@@ -159,22 +158,19 @@ class SparseStandIn:
         self.log.append(("spilu", len(self.factors)))
         return ilu
 
-    def LinearOperator(self, shape, matvec):
+    def LinearOperator(self, shape, matvec, *, dtype):
+        # a dtype is required: without one scipy probes matvec, which costs
+        # one extra triangular solve of the factor per BiCGStab call
         self.log.append(("M", self.factors.index(matvec.__self__) + 1))
-        return spla.LinearOperator(shape, matvec)
+        return spla.LinearOperator(shape, matvec, dtype=dtype)
 
-    def bicgstab(self, *args, **kwargs):
+    def bicgstab(self, A, b, **kwargs):
         self.log.append(("bicgstab", kwargs["maxiter"]))
         steps = []
-        x, info = spla.bicgstab(*args, callback=steps.append, **kwargs)
+        x, info = spla.bicgstab(A, b, callback=steps.append, **kwargs)
         self.iterations.append(len(steps))
+        self.solved.append((A, b, x))
         return x, 1 if self._fail(self.names().count("bicgstab")) else info
-
-    def spsolve(self, A, b):
-        self.log.append(("spsolve", None))
-        x = spla.spsolve(A, b) + self._shift
-        self.spsolved.append((A, b, x))
-        return x
 
 
 class TestLinearSolverCalls:
@@ -187,7 +183,6 @@ class TestLinearSolverCalls:
         names = stand_in.names()
         assert names.count("spilu") == 1
         assert names.count("bicgstab") == rep.iterations
-        assert names.count("spsolve") == 0
         # the first step factors and solves within linear_max_iters; every
         # later step reuses that factor under the tighter cap
         cap = pde.REUSED_FACTOR_MAX_ITERS
@@ -229,51 +224,66 @@ class TestLinearSolverCalls:
         assert len(reused) == rep.iterations - 1
         assert max(reused) <= 3, reused
 
-    def test_spsolve_honours_residual_contract(self, monkeypatch):
+    def test_missed_tolerance_raises(self, monkeypatch):
         stand_in = SparseStandIn(fail_bicgstab=lambda i: True)
-        monkeypatch.setattr(pde, "spla", stand_in)
-        coeffs, Fq = quadratic_problem()
-        sol = po.linear_elliptic_solve(coeffs, Fq, linear_tol=1e-12)
-        # a standalone call factors its own matrix, then falls back once
-        assert stand_in.names() == ["spilu", "M", "bicgstab", "spsolve"]
-        (A, b, x), = stand_in.spsolved
-        assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) <= 1e-12
-        assert np.array_equal(sol.values[1:-1, 1:-1].ravel(), x)
-        assert np.max(np.abs(sol.values - Fq.values)) < 1e-10
-
-    def test_spsolve_above_tolerance_raises(self, monkeypatch):
-        stand_in = SparseStandIn(fail_bicgstab=lambda i: True, spsolve_shift=1e-6)
         monkeypatch.setattr(pde, "spla", stand_in)
         coeffs, Fq = quadratic_problem()
         with pytest.raises(LinearSolveDiverged) as err:
             po.linear_elliptic_solve(coeffs, Fq, linear_tol=1e-12)
-        (A, b, x), = stand_in.spsolved
+        # a standalone call factors its own matrix, and its one attempt is final
+        assert stand_in.names() == ["spilu", "M", "bicgstab"]
+        (A, b, x), = stand_in.solved
         res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
-        assert res > 1e-12
-        assert str(err.value) == f"relative residual {res:.3e} above tolerance 1.0e-12"
+        assert str(err.value) == (
+            f"BiCGStab missed tolerance 1.0e-12: relative residual {res:.3e}, info 1"
+        )
+
+    def test_failed_ilu_raises(self, tmp_path, monkeypatch, capsys):
+        from planeot.cli import main
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        stand_in = SparseStandIn()
+        stand_in.spilu = singular
+        monkeypatch.setattr(pde, "spla", stand_in)
+        coeffs, Fq = quadratic_problem()
+        with pytest.raises(LinearSolveDiverged) as err:
+            po.linear_elliptic_solve(coeffs, Fq)
+        assert str(err.value) == "incomplete LU failed: Factor is exactly singular"
+        # no unpreconditioned BiCGStab stands in for the failed factor
+        assert stand_in.log == []
+        out = tmp_path / "run"
+        rc = main(["solve", "--preset", "bilinear", "--nx", "17", "--ny", "17", "--out", str(out)])
+        assert rc == 2
+        assert "converged = false" in (out / "report.txt").read_text()
+        err = capsys.readouterr().err
+        assert "solve stopped: linear solve at Picard iteration 1: incomplete LU failed" in err
 
     def test_linear_solve_failure_stops_solve(self, instances, monkeypatch):
-        # step 2's reused factor misses, its own factor misses too, and the
-        # direct solve lands above linear_tol
-        stand_in = SparseStandIn(fail_bicgstab=lambda i: i >= 2, spsolve_shift=1e-6)
+        # step 2's reused factor misses, and so does its own factor
+        stand_in = SparseStandIn(fail_bicgstab=lambda i: i >= 2)
         monkeypatch.setattr(pde, "spla", stand_in)
         F, rep = po.picard_solve(instances("bilinear", 33), po.SolverConfig(nx=33, ny=33))
-        assert stand_in.names().count("spsolve") == 1
+        assert stand_in.names().count("spilu") == 2
         assert not rep.converged and rep.iterations == 1
-        assert rep.stop_reason.startswith("linear solve at Picard iteration 2: relative residual")
+        assert rep.stop_reason.startswith(
+            "linear solve at Picard iteration 2: BiCGStab missed tolerance 1.0e-10: "
+            "relative residual"
+        )
         assert np.isfinite(rep.cost)
 
     def test_linear_solve_failure_cli_exit_two(self, tmp_path, monkeypatch, capsys):
         from planeot.cli import main
 
-        monkeypatch.setattr(pde, "spla", SparseStandIn(lambda i: True, spsolve_shift=1e-6))
+        monkeypatch.setattr(pde, "spla", SparseStandIn(lambda i: True))
         out = tmp_path / "run"
         rc = main(["solve", "--preset", "bilinear", "--nx", "17", "--ny", "17", "--out", str(out)])
         assert rc == 2
         report = (out / "report.txt").read_text()
         assert "iterations = 0" in report and "converged = false" in report
         err = capsys.readouterr().err
-        assert "solve stopped: linear solve at Picard iteration 1: relative residual" in err
+        assert "solve stopped: linear solve at Picard iteration 1: BiCGStab missed tolerance" in err
 
 
 def scripted_assembly(monkeypatch, raise_on):
