@@ -19,10 +19,18 @@ blends the two columns around it and is bracketed by bisection. Both
 are O(log n) per query with memory linear in queries, and both return
 the same bits the blend would.
 
+The level and conditioning derivatives of a quantile are read at the
+bracket ``quantile`` found (``Bracket``): the density, the CDF's
+conditioning derivative and the marginal at the bracketed row and node,
+with no second search. A bare point is bracketed the way a bilinear
+read locates it, and then read by the same kernel.
+
 All evaluators accept scalars or broadcastable arrays and are pure.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +40,6 @@ from .grids import (
     Density2D,
     ScalarField2D,
     _d1,
-    bilinear,
     cdf_levels,
     marginal,
 )
@@ -42,6 +49,30 @@ SECOND_GIVEN_FIRST = "second_given_first"
 
 # Levels may leave [0, 1] by at most this much before it is an error.
 LEVEL_CLAMP_TOL = 1e-9
+
+
+class Bracket(NamedTuple):
+    """Where a batch of quantile points sits in its family's tables.
+
+    ``pos`` is each point's flat position, in the C-ordered (x, y)
+    tables, of its lower row on the inverted axis at conditioning node
+    ``node``; ``frac`` in [0, 1] weighs the next row. The points listed
+    in ``off`` lie between conditioning nodes ``node`` and ``node + 1``
+    and weigh the second by ``w``; every other point lies on ``node``.
+    ``shape`` is the query shape, () for a scalar.
+    """
+
+    shape: tuple
+    pos: np.ndarray
+    node: np.ndarray
+    frac: np.ndarray
+    off: np.ndarray
+    w: np.ndarray
+
+
+def _shaped(flat: np.ndarray, shape: tuple):
+    """``flat`` (one value per query) in the query shape; a float for a scalar query."""
+    return flat.reshape(shape) if shape else float(flat[0])
 
 
 class ConditionalQuantile:
@@ -78,12 +109,18 @@ class ConditionalQuantile:
         keys.imag = self._tbl.T
         self._keys = keys.ravel()
         self._keys.flags.writeable = False
+        # flat steps along the inverted and the conditioning axis in the
+        # C-ordered (x, y) tables that a Bracket indexes
+        self._step_inv, self._step_cond = (
+            (self.cond_grid.n, 1) if self._inv_axis == 0 else (1, self.inv_grid.n)
+        )
 
     # -- forward -----------------------------------------------------------
 
     def cond_cdf(self, primary, conditioning):
         """Conditional CDF value at ``primary`` given ``conditioning``; in [0, 1]."""
-        return np.clip(self._at(self.cdf_table, primary, conditioning), 0.0, 1.0)
+        b = self._point_bracket(primary, conditioning)
+        return _shaped(np.clip(self._read(self.cdf_table.values, b), 0.0, 1.0), b.shape)
 
     # -- inverse -----------------------------------------------------------
 
@@ -96,7 +133,7 @@ class ConditionalQuantile:
             raise OutOfRange(f"quantile level {float(bad[0])!r} outside [0, 1]")
         return np.clip(s, 0.0, 1.0)
 
-    def quantile(self, s, conditioning):
+    def quantile(self, s, conditioning, *, bracket: bool = False):
         """Inverse conditional CDF: the point where cond_cdf reaches level ``s``.
 
         Each query's CDF column is blended between the two conditioning
@@ -108,22 +145,15 @@ class ConditionalQuantile:
         bisection over their blended column. Both take O(log n) per query
         and memory linear in queries; queries ordered node by node search
         fastest.
+
+        With ``bracket=True`` returns ``(point, Bracket)``: the bracket
+        ``quantile_ds`` and ``quantile_dcond`` read the derivatives at.
         """
         s_in, c_in = np.broadcast_arrays(
             np.asarray(s, dtype=float), np.asarray(conditioning, dtype=float)
         )
-        shape = s_in.shape
         sq = self._check_levels(s_in.ravel())
-        cond = c_in.ravel()
-        cg = self.cond_grid
-        if not np.all(cg.contains(cond)):
-            raise OutOfRange("conditioning value outside the grid domain")
-        t = np.clip((cond - cg.lo) / cg.h, 0.0, cg.n - 1.0)
-        j = np.minimum(t.astype(int), cg.n - 2)
-        w = t - j
-        last = w == 1.0
-        on = (w == 0.0) | last
-        node = j + last
+        j, w, on, node = self._cond_cell(c_in.ravel())
         if on.all():
             idx, c0, c1 = self._node_bracket(sq, node)
         else:
@@ -133,10 +163,45 @@ class ConditionalQuantile:
             c1 = np.empty(sq.size)
             idx[on], c0[on], c1[on] = self._node_bracket(sq[on], node[on])
             idx[off], c0[off], c1[off] = self._bisect_bracket(sq[off], j[off], w[off])
-        frac = (sq - c0) / np.maximum(c1 - c0, 1e-300)
-        v = self.inv_grid.nodes[idx] + np.clip(frac, 0.0, 1.0) * self.inv_grid.h
-        v = v.reshape(shape)
-        return v if shape else float(v)
+        frac = np.clip((sq - c0) / np.maximum(c1 - c0, 1e-300), 0.0, 1.0)
+        point = _shaped(self.inv_grid.nodes[idx] + frac * self.inv_grid.h, s_in.shape)
+        if not bracket:
+            return point
+        return point, self._bracket(s_in.shape, idx, frac, node, on, w)
+
+    def _cond_cell(self, cond: np.ndarray):
+        """(cell j, weight w, on-node mask, node) of conditioning values ``cond``.
+
+        A value is on a node when its weight is 0, or 1 in the last cell;
+        its node is then ``j`` or ``j + 1``, otherwise ``j``.
+        """
+        cg = self.cond_grid
+        if not np.all(cg.contains(cond)):
+            raise OutOfRange("conditioning value outside the grid domain")
+        t = np.clip((cond - cg.lo) / cg.h, 0.0, cg.n - 1.0)
+        j = np.minimum(t.astype(int), cg.n - 2)
+        w = t - j
+        last = w == 1.0
+        return j, w, (w == 0.0) | last, j + last
+
+    def _bracket(self, shape, idx, frac, node, on, w) -> Bracket:
+        off = np.flatnonzero(~on)
+        pos = idx * self._step_inv + node * self._step_cond
+        return Bracket(shape, pos, node, frac, off, w[off])
+
+    def _point_bracket(self, point, conditioning) -> Bracket:
+        """The bracket of bare points, located as a bilinear read locates them."""
+        g_in, c_in = np.broadcast_arrays(
+            np.asarray(point, dtype=float), np.asarray(conditioning, dtype=float)
+        )
+        g = g_in.ravel()
+        ig = self.inv_grid
+        if not np.all(ig.contains(g)):
+            raise OutOfRange("quantile point outside the grid domain")
+        t = np.clip((g - ig.lo) / ig.h, 0.0, ig.n - 1.0)
+        idx = np.minimum(t.astype(int), ig.n - 2)
+        _, w, on, node = self._cond_cell(c_in.ravel())
+        return self._bracket(g_in.shape, idx, t - idx, node, on, w)
 
     def _node_bracket(self, sq: np.ndarray, node: np.ndarray):
         """Bracket (index, lower and upper CDF value) of levels ``sq`` in columns ``node``."""
@@ -177,45 +242,65 @@ class ConditionalQuantile:
         idx = np.clip(count - 1, 0, n - 2)
         return idx, column(idx), column(idx + 1)
 
-    def quantile_ds(self, point, conditioning):
+    # -- derivatives, read at a bracket -----------------------------------
+
+    def _read(self, table: np.ndarray, b: Bracket) -> np.ndarray:
+        """A C-ordered (x, y) table at the bracketed points, one value per point.
+
+        Rows ``pos`` and the next blended by ``frac`` at each point's node;
+        an off-node point blends that with the next node's pair by ``w``.
+        """
+        step = self._step_inv
+        out = np.take(table, b.pos) * (1.0 - b.frac)
+        out += np.take(table, b.pos + step) * b.frac
+        if b.off.size:
+            p = b.pos[b.off] + self._step_cond
+            f = b.frac[b.off]
+            nxt = np.take(table, p) * (1.0 - f) + np.take(table, p + step) * f
+            out[b.off] = out[b.off] * (1.0 - b.w) + nxt * b.w
+        return out
+
+    def _marginal_read(self, b: Bracket) -> np.ndarray:
+        """The conditioning marginal at the bracketed points' conditioning values."""
+        m = self.marginal.values
+        out = m[b.node]
+        if b.off.size:
+            out[b.off] = out[b.off] * (1.0 - b.w) + m[b.node[b.off] + 1] * b.w
+        return out
+
+    def quantile_ds(self, point, conditioning, *, bracket: Bracket | None = None):
         """Derivative of the quantile in its level argument; strictly positive.
 
         ``point`` is the quantile point ``quantile(s, conditioning)``; the
-        derivative there is the conditioning marginal over the density.
+        derivative there is the conditioning marginal over the density,
+        both read at ``bracket``, the one ``quantile`` found for the
+        point. Without it the point is located as a bilinear read would.
+        Raises DegenerateDensity where the density read is below the
+        positivity floor.
         """
-        g, c = np.broadcast_arrays(
-            np.asarray(point, dtype=float), np.asarray(conditioning, dtype=float)
-        )
-        dens = self._density_at(g, c)
-        marg = self.marginal.density_at(c)
-        out = marg / dens
-        return out if np.ndim(out) else float(out)
+        b = self._point_bracket(point, conditioning) if bracket is None else bracket
+        dens = self._read(self.source.values, b)
+        if np.any(dens < EPS_POS):
+            raise DegenerateDensity(
+                f"density {dens.min()!r} below the positivity floor"
+            )
+        return _shaped(self._marginal_read(b) / dens, b.shape)
 
-    def quantile_dcond(self, point, conditioning):
+    def quantile_dcond(self, point, conditioning, *, bracket: Bracket | None = None, ds=None):
         """Derivative of the quantile in the conditioning argument.
 
         ``point`` is the quantile point ``quantile(s, conditioning)``.
         Implicit differentiation of ``F(G, c) = s``: the conditioning
         derivative of the CDF, read from the table differenced once at
-        construction, times the level derivative ``quantile_ds``.
+        construction, times the level derivative ``ds``. Both are read
+        at ``bracket`` as in ``quantile_ds``; ``ds``, if given, is that
+        method's value at the same bracket and is not read again.
         """
-        dF = self._at(self._dcdf_dcond, point, conditioning)
-        out = -dF * self.quantile_ds(point, conditioning)
-        return out if np.ndim(out) else float(out)
-
-    def _at(self, field: ScalarField2D, g, c):
-        """Bilinear read of a field over (x, y) at primary ``g``, conditioning ``c``."""
-        if self._inv_axis == 0:
-            return bilinear(field, g, c)
-        return bilinear(field, c, g)
-
-    def _density_at(self, g: np.ndarray, c: np.ndarray) -> np.ndarray:
-        dens = np.asarray(self._at(self.source, g, c), dtype=float)
-        if np.any(dens < EPS_POS):
-            raise DegenerateDensity(
-                f"density {dens.min()!r} below the positivity floor"
-            )
-        return dens
+        b = self._point_bracket(point, conditioning) if bracket is None else bracket
+        if ds is None:
+            ds = self.quantile_ds(point, conditioning, bracket=b)
+        dF = self._read(self._dcdf_dcond.values, b)
+        return _shaped(-dF * np.ravel(ds), b.shape)
 
 
 def ellipticity_margin(cq_tilde_1: ConditionalQuantile, cq_2: ConditionalQuantile) -> float:
@@ -231,7 +316,7 @@ def ellipticity_margin(cq_tilde_1: ConditionalQuantile, cq_2: ConditionalQuantil
         levels = np.linspace(0.0, 1.0, cq.inv_grid.n)
         conds = cq.cond_grid.nodes
         S, C = np.meshgrid(levels, conds, indexing="ij")
-        g = cq.quantile(S, C)
-        coeff = cq.quantile_ds(g, C) / cq.marginal.density_at(C)
+        g, b = cq.quantile(S, C, bracket=True)
+        coeff = cq.quantile_ds(g, C, bracket=b) / cq.marginal.density_at(C)
         lo = min(lo, float(np.min(coeff)))
     return lo

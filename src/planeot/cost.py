@@ -216,15 +216,26 @@ def _check_feasible(cand: CandidateQ):
 def _quantile_points(inst: Instance, v: np.ndarray, u: np.ndarray, gx: Grid1D, gy: Grid1D):
     """Quantile points of both families at levels ``v`` (y given x), ``u`` (x given y).
 
-    Returns (level, conditioning grid, quantile point) for ``cq_G2``
-    first and ``cq_G1_tilde`` second, on the tensor grid ``gx`` x ``gy``.
+    Returns (level, quantile point, level derivative, conditioning
+    derivative) for ``cq_G2`` first and ``cq_G1_tilde`` second, on the
+    tensor grid ``gx`` x ``gy``. Each family is bracketed once; both
+    derivatives are read at that bracket.
     """
     X = np.broadcast_to(gx.nodes[:, None], v.shape)
     Y = np.broadcast_to(gy.nodes[None, :], u.shape)
     # node-major (one conditioning node after another) searches fastest;
     # made C-contiguous again so later sums see the layout they always saw
-    gu = np.ascontiguousarray(inst.cq_G1_tilde.quantile(u.T, Y.T).T)
-    return (v, X, inst.cq_G2.quantile(v, X)), (u, Y, gu)
+    gu, ds_u, dc_u = (
+        np.ascontiguousarray(a.T) for a in _point_and_derivatives(inst.cq_G1_tilde, u.T, Y.T)
+    )
+    return (v, *_point_and_derivatives(inst.cq_G2, v, X)), (u, gu, ds_u, dc_u)
+
+
+def _point_and_derivatives(cq: ConditionalQuantile, s: np.ndarray, cond: np.ndarray):
+    """Quantile point, level and conditioning derivative, all at one bracket."""
+    g, b = cq.quantile(s, cond, bracket=True)
+    ds = cq.quantile_ds(g, cond, bracket=b)
+    return g, ds, cq.quantile_dcond(g, cond, bracket=b, ds=ds)
 
 
 def _levels_and_points(inst: Instance, q: Density2D):
@@ -234,20 +245,15 @@ def _levels_and_points(inst: Instance, q: Density2D):
     return _quantile_points(inst, V, U, q.gx, q.gy)
 
 
-def _composite_derivative(inst: Instance, points, gx: Grid1D, gy: Grid1D, diff) -> np.ndarray:
+def _composite_derivative(points, gx: Grid1D, gy: Grid1D, diff) -> np.ndarray:
     """d/dx G2(v, x) + d/dy G1~(u, y) of the two quantile composites.
 
     ``points`` as returned by ``_quantile_points``; the chain rule runs
     through the level derivative (the levels differenced by ``diff``) and
     the conditioning derivative of each quantile evaluator.
     """
-    (v, X, gv), (u, Y, gu) = points
-    return (
-        inst.cq_G2.quantile_ds(gv, X) * diff(v, gx.h, axis=0)
-        + inst.cq_G2.quantile_dcond(gv, X)
-        + inst.cq_G1_tilde.quantile_ds(gu, Y) * diff(u, gy.h, axis=1)
-        + inst.cq_G1_tilde.quantile_dcond(gu, Y)
-    )
+    (v, _, ds_v, dc_v), (u, _, ds_u, dc_u) = points
+    return ds_v * diff(v, gx.h, axis=0) + dc_v + ds_u * diff(u, gy.h, axis=1) + dc_u
 
 
 def _line_costs(
@@ -324,13 +330,13 @@ def _m_pieces(inst: Instance, cand: CandidateQ):
     """Boundary curves of the potential M and the double integral of its integrand."""
     gx, gy = cand.q.gx, cand.q.gy
     points = _levels_and_points(inst, cand.q)
-    (_, _, gV), (_, _, gU) = points
+    (_, gV, _, _), (_, gU, _, _) = points
     # boundary integrals along the two low edges: the quantile points of
     # the first column and the first row
     b_x = -2.0 * cumtrapz1d(gU[:, 0], gx.h)
     b_y = -2.0 * cumtrapz1d(gV[0, :], gy.h)
     # interior integrand: total derivatives of the two quantile composites
-    d = _composite_derivative(inst, points, gx, gy, _d1_edge3)
+    d = _composite_derivative(points, gx, gy, _d1_edge3)
     inner = cumtrapz1d(cumtrapz1d(d, gx.h, axis=0), gy.h, axis=1)
     return b_x, b_y, inner
 

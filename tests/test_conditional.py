@@ -12,8 +12,9 @@ from planeot.conditional import (
     SECOND_GIVEN_FIRST,
     ConditionalQuantile,
 )
-from planeot.errors import OutOfRange
-from planeot.grids import Density2D, Grid1D
+from planeot.errors import DegenerateDensity, OutOfRange
+from planeot.grids import EPS_POS, Density2D, Grid1D, ScalarField2D, _d1_edge3, bilinear
+from planeot.pde import _marginal_tables, assemble_coefficients, initial_iterate
 
 
 def bilinear_density(n=65, alpha=0.5):
@@ -79,9 +80,15 @@ def stencil_dcond(cq, point, conditioning):
     dF[hi_side] = (
         3.0 * cq.cond_cdf(gh, ch) - 4.0 * cq.cond_cdf(gh, ch - h) + cq.cond_cdf(gh, ch - 2.0 * h)
     ) / (2.0 * h)
-    dens = cq._density_at(g, c)
     marg = cq.marginal.density_at(c)
-    return (-dF * marg / dens).reshape(g_in.shape)
+    return (-dF * marg / point_field(cq, cq.source, g, c)).reshape(g_in.shape)
+
+
+def point_field(cq, field, point, conditioning):
+    """Reference read of a field over (x, y): bilinear at the bare point."""
+    if cq._inv_axis == 0:
+        return bilinear(field, point, conditioning)
+    return bilinear(field, conditioning, point)
 
 
 def sine_density(n):
@@ -316,6 +323,98 @@ class TestQuantileDcond:
         assert edge_gaps[0] >= 3.5 * edge_gaps[1] >= 3.5**2 * edge_gaps[2]
         one = cq.quantile_dcond(cq.quantile(0.4, 0.37), 0.37)
         assert type(one) is float
+
+
+def reference_derivatives(cq, point, conditioning):
+    """(ds, dcond) relocated from the bare point by bilinear reads."""
+    ds = cq.marginal.density_at(conditioning) / point_field(cq, cq.source, point, conditioning)
+    return ds, -point_field(cq, cq._dcdf_dcond, point, conditioning) * ds
+
+
+def assert_close(got, ref, rel=1e-12):
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+class TestBracketRead:
+    """Derivatives read at the bracket quantile found match the point read."""
+
+    @pytest.mark.parametrize("which", [FIRST_GIVEN_SECOND, SECOND_GIVEN_FIRST])
+    def test_node_aligned(self, which):
+        cq = ConditionalQuantile(sine_density(33), which)
+        # levels 0 and 1 (frac clipped), every knot of one column, and
+        # every conditioning node up to the last (weight 1 in the last cell)
+        levels = np.concatenate([[0.0, 1.0, 0.37], cq._tbl[:, 5]])[:, None]
+        conds = np.broadcast_to(cq.cond_grid.nodes[None, :], (levels.size, cq.cond_grid.n))
+        point, b = cq.quantile(levels, conds, bracket=True)
+        assert b.off.size == 0
+        assert b.node[-1] == cq.cond_grid.n - 1
+        ds = cq.quantile_ds(point, conds, bracket=b)
+        dcond = cq.quantile_dcond(point, conds, bracket=b, ds=ds)
+        ref_ds, ref_dcond = reference_derivatives(cq, point, conds)
+        assert_close(ds, ref_ds)
+        assert_close(dcond, ref_dcond)
+        # a bare point reads through a bracket derived from the point
+        assert_close(cq.quantile_ds(point, conds), ref_ds)
+        assert_close(cq.quantile_dcond(point, conds), ref_dcond)
+
+    @pytest.mark.parametrize("which", [FIRST_GIVEN_SECOND, SECOND_GIVEN_FIRST])
+    def test_mixed_batch(self, which, rng):
+        cq = ConditionalQuantile(sine_density(33), which)
+        cg = cq.cond_grid
+        on = cg.nodes[rng.integers(0, cg.n, 40)]
+        off = rng.uniform(cg.lo, cg.hi, 40)
+        conds = np.concatenate([on, off, [cg.hi]])
+        levels = np.concatenate([rng.random(80), [1.0]])
+        point, b = cq.quantile(levels, conds, bracket=True)
+        assert np.array_equal(b.off, np.arange(40, 80))
+        ds = cq.quantile_ds(point, conds, bracket=b)
+        ref_ds, ref_dcond = reference_derivatives(cq, point, conds)
+        assert_close(ds, ref_ds)
+        assert_close(cq.quantile_dcond(point, conds, bracket=b, ds=ds), ref_dcond)
+        one_point, one = cq.quantile(0.4, 0.37, bracket=True)
+        assert type(cq.quantile_ds(one_point, 0.37, bracket=one)) is float
+
+    def test_assembly_cross_grid(self):
+        # a 33-node pair solved on a 65 grid: every other conditioning
+        # value falls between the pair's nodes
+        g, gt = Grid1D(0.0, 1.0, 33), Grid1D(1.0, 2.0, 33)
+        X, Y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+        p = 1.0 + 0.2 * np.sin(3 * X) * np.cos(2 * Y)
+        q = 1.0 + 0.2 * np.exp(-((X - 0.4) ** 2 + (Y - 0.6) ** 2) / 0.1)
+        inst = po.build_instance(po.normalize(Density2D(g, g, p)), po.normalize(Density2D(gt, gt, q)))
+        gx, gy = Grid1D(0.0, 1.0, 65), Grid1D(1.0, 2.0, 65)
+        Xs, Ys = np.meshgrid(gx.nodes, gy.nodes, indexing="ij")
+        bump = 0.004 * np.sin(np.pi * Xs) * np.sin(np.pi * (Ys - 1.0))
+        F = ScalarField2D(gx, gy, initial_iterate(inst, gx, gy).values + bump)
+        coeffs = assemble_coefficients(inst, F)
+        # the same formulas with every derivative relocated from its point
+        f1, f2t, logd1, logd2t = _marginal_tables(inst, gx, gy)
+        v = np.clip(_d1_edge3(F.values, gx.h, axis=0) / f1[:, None], 0.0, 1.0)
+        u = np.clip(_d1_edge3(F.values, gy.h, axis=1) / f2t[None, :], 0.0, 1.0)
+        Xc = np.broadcast_to(gx.nodes[:, None], v.shape)
+        Yc = np.broadcast_to(gy.nodes[None, :], u.shape)
+        ds_v, dc_v = reference_derivatives(inst.cq_G2, inst.cq_G2.quantile(v, Xc), Xc)
+        ds_u, dc_u = reference_derivatives(inst.cq_G1_tilde, inst.cq_G1_tilde.quantile(u, Yc), Yc)
+        A = ds_v / f1[:, None]
+        B = ds_u / f2t[None, :]
+        C = -dc_u - dc_v + B * logd2t[None, :] * u * f2t[None, :] + A * logd1[:, None] * v * f1[:, None]
+        assert_close(coeffs.A.values, A)
+        assert_close(coeffs.B.values, B)
+        assert_close(coeffs.C.values, C)
+
+    def test_sub_floor_density_raises(self):
+        d = sine_density(17)
+        cq = ConditionalQuantile(d, SECOND_GIVEN_FIRST)
+        vals = np.array(d.values)
+        vals[6, :] = 0.5 * EPS_POS
+        # the tables stay those of the valid density; only the read sees the floor
+        cq.source = ScalarField2D(d.gx, d.gy, vals)
+        conds = np.full(5, d.gx.nodes[6])
+        point, b = cq.quantile(np.linspace(0.0, 1.0, 5), conds, bracket=True)
+        with pytest.raises(DegenerateDensity, match="below the positivity floor"):
+            cq.quantile_ds(point, conds, bracket=b)
+        with pytest.raises(DegenerateDensity):
+            cq.quantile_dcond(point, conds, bracket=b)
 
 
 class TestEllipticity:

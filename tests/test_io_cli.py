@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import planeot as po
+from planeot import grids
 from planeot import io as gridio
+from planeot import pde
 from planeot.cli import main, parse_config
 from planeot.errors import ConfigError, NonPositiveDensity
 from planeot.grids import Density2D, Grid1D, ScalarField2D
@@ -201,8 +203,10 @@ class TestCliSolve:
         # marginal: the instance reads f1 and f2~ from its two quantile
         # families (2 calls) and builds f2 and f1~ only when read, which a
         # solve never does; the recovered candidate checks its two
-        for name in ("hh_residual", "recover_density", "M_field", "marginal"):
-            original = getattr(po, name)
+        # bilinear: no derivative is relocated from its point, so a solve
+        # whose inputs sit on the solve grid never calls it
+        names = ("hh_residual", "recover_density", "M_field", "marginal")
+        for name, original in [(n, getattr(po, n)) for n in names] + [("bilinear", grids.bilinear)]:
 
             def counted(*args, _name=name, _fn=original, **kwargs):
                 counts[_name] = counts.get(_name, 0) + 1
@@ -221,6 +225,28 @@ class TestCliSolve:
             return original_quantile(self, *args, **kwargs)
 
         monkeypatch.setattr(po.ConditionalQuantile, "quantile", counted_quantile)
+        # both derivatives are read at the bracket quantile found: one level
+        # and one conditioning read per family and assembly
+        for method in ("quantile_ds", "quantile_dcond"):
+            original_method = getattr(po.ConditionalQuantile, method)
+
+            def counted_method(self, *args, _name=method, _fn=original_method, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(self, *args, **kwargs)
+
+            monkeypatch.setattr(po.ConditionalQuantile, method, counted_method)
+        per_assembly = []
+        original_assemble = pde.assemble_coefficients
+
+        def counted_assemble(*args, **kwargs):
+            before = (counts.get("quantile_ds", 0), counts.get("quantile_dcond", 0))
+            out = original_assemble(*args, **kwargs)
+            per_assembly.append(
+                (counts["quantile_ds"] - before[0], counts["quantile_dcond"] - before[1])
+            )
+            return out
+
+        monkeypatch.setattr(pde, "assemble_coefficients", counted_assemble)
         # the instance builds the two quantile families the equation reads
         original_init = po.ConditionalQuantile.__init__
 
@@ -235,11 +261,16 @@ class TestCliSolve:
         report = (tmp_path / "run" / "report.txt").read_text()
         iterations = int(re.search(r"^iterations = (\d+)$", report, re.M).group(1))
         quantile_calls = counts.pop("quantile")
+        derivative_calls = (counts.pop("quantile_ds"), counts.pop("quantile_dcond"))
+        assert "bilinear" not in counts
         assert counts == {
             "hh_residual": 1, "recover_density": 1, "M_field": 1, "ConditionalQuantile": 2,
             "marginal": 4,
         }
         assert quantile_calls == 2 * iterations + 6
+        # each assembly, hh and M reads both derivatives once per family
+        assert per_assembly == [(2, 2)] * iterations
+        assert derivative_calls == (2 * iterations + 4, 2 * iterations + 4)
 
     def test_recovery_failure_exit_two(self, tmp_path, capsys):
         # the solve converges, but on the default 65x65 grid the recovered
