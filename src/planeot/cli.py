@@ -21,7 +21,7 @@ from . import io as gridio
 from .conditional import ellipticity_margin
 from .cost import build_instance, density_moments, krw_1d_distance, shift_cost_relation
 from .errors import ConfigError, Infeasible, PlaneOTError
-from .grids import Density2D, Grid1D, Marginal1D
+from .grids import Density2D, Grid1D, Marginal1D, normalize
 from .oracle import SIZE_GUARD, atomize, exact_ot, exact_ot_1d
 from .pde import SolverConfig, picard_solve
 from .presets import PRESETS, build_preset
@@ -111,11 +111,12 @@ def parse_config(
 
 
 def _load_instance(cfg: RunConfig):
-    """Build the instance; returns (instance, q_original or None).
+    """Build the instance; returns (instance, normalized Q or None).
 
     A second density on the unit square is read as the unshifted target
     law Q and translated by (+1, +1); one already on [1,2] x [1,2] is
-    used directly.
+    used directly. Q is returned normalized, since its moments give
+    ``cost_pq`` and a file need not hold unit mass.
     """
     if cfg.preset is not None:
         f, ft = build_preset(cfg.preset, cfg.nx, cfg.ny)
@@ -123,13 +124,12 @@ def _load_instance(cfg: RunConfig):
     f = gridio.read_density(cfg.density_p)
     second = gridio.read_density(cfg.density_q)
     if abs(second.gx.lo) < 1e-9 and abs(second.gy.lo) < 1e-9:
-        q_orig = second
         ft = Density2D(
             Grid1D(second.gx.lo + 1.0, second.gx.hi + 1.0, second.gx.n),
             Grid1D(second.gy.lo + 1.0, second.gy.hi + 1.0, second.gy.n),
             second.values,
         )
-        return build_instance(f, ft), q_orig
+        return build_instance(f, ft), normalize(second)
     return build_instance(f, second), None
 
 

@@ -10,6 +10,12 @@ Two oracles, deliberately unrelated to the elliptic solve:
 
 Agreement of the PDE cost with both, under refinement, is the
 end-to-end validation of the reduction.
+
+Only the transport LP needs ``scipy.optimize``, so this module loads it at
+the first call of ``linprog``, not on import: ``planeot solve`` without
+the oracle and ``planeot distance1d`` load numpy, ``scipy.sparse`` and
+``scipy.sparse.linalg`` only, and the first LP of a process pays for the
+import (about 0.2 s and 17 MB).
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .cost import (
     CandidateQ,
@@ -60,6 +65,13 @@ PROJECTION_PASSES = 50
 PROJECTION_TOL = 1e-10
 # node bump of the finite-difference gradient
 FD_STEP = 1e-6
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at the first call."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 class AtomizedMeasure:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import subprocess
 import sys
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -15,6 +16,12 @@ from planeot import pde
 from planeot.cli import main, parse_config
 from planeot.errors import ConfigError, NonPositiveDensity
 from planeot.grids import Density2D, Grid1D, ScalarField2D
+
+
+def read_report(path) -> dict:
+    """The ``key = value`` pairs of a report file, values as text."""
+    lines = path.read_text().splitlines()
+    return dict(l.split(" = ") for l in lines if " = " in l)
 
 
 def fail_transport_lp(monkeypatch):
@@ -324,15 +331,41 @@ class TestCliSolve:
         out = tmp_path / "run"
         rc = main(["solve", "--density-p", str(p1), "--density-q", str(p2), "--out", str(out)])
         assert rc == 0
-        report = (out / "report.txt").read_text()
-        lines = dict(
-            l.split(" = ") for l in report.splitlines() if " = " in l
-        )
+        lines = read_report(out / "report.txt")
         cost = float(lines["cost"])
         cost_pq = float(lines["cost_pq"])
         # both marginal pairs are uniform, so the shift identity reduces
         # to subtracting exactly 2
         assert abs(cost_pq - (cost - 2.0)) < 1e-9
+
+    def test_pq_pair_unnormalized_q(self, tmp_path, capsys):
+        # a Q file of mass 1.3: the moments behind cost_pq are those of the
+        # normalized Q. Q's own moments would give -0.634; the 16-atom LP
+        # gives 0.00773
+        n = 33
+        g = Grid1D(0.0, 1.0, n)
+        X, Y = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+        p = Density2D(g, g, 1.0 + 0.5 * (2 * X - 1) * (2 * Y - 1))
+        q = Density2D(g, g, 1.3 * (1.0 + 0.4 * (2 * X - 1)))
+        assert abs(q.mass() - 1.3) < 1e-12
+        p_path, q_path = tmp_path / "p.dat", tmp_path / "q.dat"
+        gridio.write_density(str(p_path), p)
+        gridio.write_density(str(q_path), q)
+        files = ["--density-p", str(p_path), "--density-q", str(q_path)]
+        assert main(["solve", *files, "--out", str(tmp_path / "s")]) == 0
+        assert main(["oracle", *files, "--oracle-atoms", "16", "--out", str(tmp_path / "o")]) == 0
+        solved = read_report(tmp_path / "s" / "report.txt")
+        oracle_report = read_report(tmp_path / "o" / "oracle_report.txt")
+        ex1, ex2 = po.density_moments(po.normalize(p))
+        ey1, ey2 = po.density_moments(po.normalize(q))
+        expected = po.shift_cost_relation(ex1, ey1, ex2, ey2, float(solved["cost"]))
+        cost_pq = float(solved["cost_pq"])
+        assert abs(cost_pq - expected) <= 1e-12
+        assert float(solved["w2_pq"]) == pytest.approx(np.sqrt(expected), rel=1e-12)
+        # the LP's atomization error: oracle_cost_pq - cost_pq measured
+        # 3.58e-3 at 8 atoms, 1.49e-3 at 16 and 8.8e-4 at 24 on this pair;
+        # twice the 16-atom gap
+        assert abs(float(oracle_report["oracle_cost_pq"]) - cost_pq) <= 3e-3
 
     def test_oracle_flag_adds_oracle_keys(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -387,8 +420,7 @@ class TestCliOther:
         rc = main(["distance1d", "--preset", "uniform", "--nx", "17", "--ny", "17",
                    "--axis", "x", "--out", str(out)])
         assert rc == 0
-        report = (out / "distance1d_report.txt").read_text()
-        lines = dict(l.split(" = ") for l in report.splitlines() if " = " in l)
+        lines = read_report(out / "distance1d_report.txt")
         assert abs(float(lines["distance1d"]) - 1.0) < 1e-9
 
     def test_oracle_command(self, tmp_path, capsys):
@@ -396,8 +428,7 @@ class TestCliOther:
         rc = main(["oracle", "--preset", "uniform", "--nx", "17", "--ny", "17",
                    "--oracle-atoms", "8", "--out", str(out)])
         assert rc == 0
-        report = (out / "oracle_report.txt").read_text()
-        lines = dict(l.split(" = ") for l in report.splitlines() if " = " in l)
+        lines = read_report(out / "oracle_report.txt")
         assert abs(float(lines["oracle_cost"]) - 2.0) < 1e-9
 
     def test_oracle_command_failed_lp_exit_two(self, tmp_path, monkeypatch, capsys):
@@ -465,3 +496,38 @@ class TestValidateCli:
             main(["validate", "--config", str(cfgfile)])
             texts.append((tmp_path / "v" / "validate_report.txt").read_bytes())
         assert texts[0] == texts[1]
+
+
+# Runs in a fresh interpreter, so no earlier import of scipy.optimize counts.
+# argv[1] is the output directory.
+STARTUP_SCRIPT = """
+import sys
+import planeot.cli as cli
+
+out = sys.argv[1]
+grid = ["--preset", "bilinear", "--nx", "17", "--ny", "17"]
+assert "scipy.optimize" not in sys.modules, "import planeot.cli"
+assert cli.main(["solve", *grid, "--out", out + "/solve"]) == 0
+assert "scipy.optimize" not in sys.modules, "solve"
+assert cli.main(["distance1d", *grid, "--out", out + "/d1"]) == 0
+assert "scipy.optimize" not in sys.modules, "distance1d"
+assert cli.main(["oracle", *grid, "--oracle-atoms", "8", "--out", out + "/oracle"]) == 0
+assert "scipy.optimize" in sys.modules, "oracle"
+"""
+
+
+class TestStartUp:
+    def test_scipy_optimize_loads_at_first_lp(self, tmp_path):
+        # solve and distance1d never run a transport LP, so they do not
+        # pay for importing scipy.optimize; the first LP imports it
+        package_parent = os.path.dirname(os.path.dirname(os.path.abspath(po.__file__)))
+        env = {**os.environ, "PYTHONPATH": package_parent}
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # the LP certificate bounds the distance to the optimum by GAP_TOL
+        # relative
+        cost = float(read_report(tmp_path / "oracle" / "oracle_report.txt")["oracle_cost"])
+        assert cost == pytest.approx(2.0067840576171876, rel=1e-9)
