@@ -19,7 +19,13 @@ import numpy as np
 
 from . import io as gridio
 from .conditional import ellipticity_margin
-from .cost import build_instance, density_moments, krw_1d_distance, shift_cost_relation
+from .cost import (
+    build_instance,
+    density_moments,
+    krw_1d_distance,
+    shift_cost_relation,
+    transport_map,
+)
 from .errors import ConfigError, Infeasible, PlaneOTError
 from .grids import Density2D, Grid1D, Marginal1D, normalize
 from .oracle import SIZE_GUARD, atomize, exact_ot, exact_ot_1d
@@ -177,8 +183,13 @@ def run_solve(cfg: RunConfig) -> int:
     if cfg.oracle:
         src = atomize(inst.f, cfg.oracle_atoms, cfg.oracle_atoms)
         dst = atomize(inst.f_tilde, cfg.oracle_atoms, cfg.oracle_atoms)
+        # the solve's own map seeds the LP's support; pricing every pair
+        # keeps the cost independent of it
+        near = None
+        if report.candidate is not None:
+            near = transport_map(inst, report.candidate, src.points, dst.points)
         try:
-            plan, ot_cost = exact_ot(src, dst)
+            plan, ot_cost = exact_ot(src, dst, near)
         except Infeasible as e:
             stop_reason = stop_reason or f"oracle: {e}"
         else:

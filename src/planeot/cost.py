@@ -20,7 +20,8 @@ lives on [0,1] x [1,2] with prescribed marginals (``f``'s x-marginal and
       expression;
     * marginal-preserving four-square corner perturbations, and the
       objective change of many of them at once;
-    * reconstruction of coupled pairs (X, X~) from points of Z.
+    * reconstruction of coupled pairs (X, X~) from points of Z, and the
+      transport map X -> X~ and its inverse that a candidate defines.
 """
 
 from __future__ import annotations
@@ -139,6 +140,17 @@ class CandidateQ:
                 f"candidate marginals deviate by {self.max_marginal_error:.3e} "
                 f"(tolerance {self.marginal_tol:.3e})"
             )
+
+    # the candidate's own conditional laws, read by reconstruction and the map
+    @cached_property
+    def cq_x(self) -> ConditionalQuantile:
+        """The candidate's x-given-y family."""
+        return ConditionalQuantile(self.q, FIRST_GIVEN_SECOND)
+
+    @cached_property
+    def cq_y(self) -> ConditionalQuantile:
+        """The candidate's y-given-x family."""
+        return ConditionalQuantile(self.q, SECOND_GIVEN_FIRST)
 
 
 def make_candidate(
@@ -514,23 +526,46 @@ def reconstruct_coupling(
     x, y = pts[:, 0], pts[:, 1]
     if np.any(~cand.q.gx.contains(x)) or np.any(~cand.q.gy.contains(y)):
         raise OutOfRange("reconstruction point outside [0,1] x [1,2]")
-    cq_x = ConditionalQuantile(cand.q, FIRST_GIVEN_SECOND)
-    cq_y = ConditionalQuantile(cand.q, SECOND_GIVEN_FIRST)
-    s = cq_x.cond_cdf(x, y)
+    s = cand.cq_x.cond_cdf(x, y)
     xt = inst.cq_G1_tilde.quantile(s, y)
-    t = cq_y.cond_cdf(y, x)
+    t = cand.cq_y.cond_cdf(y, x)
     x2 = inst.cq_G2.quantile(t, x)
     X = np.column_stack([x, x2])
     Xt = np.column_stack([xt, y])
     return X, Xt
 
 
+def transport_map(
+    inst: Instance, cand: CandidateQ, src_points, dst_points
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate's transport map at source points and its inverse at target points.
+
+    Forward, a source point X = (x1, x2) has rank t = F2(x2 | x1) under
+    ``f``; the candidate's y-given-x quantile at t gives Z = (x1, y), which
+    ``reconstruct_coupling`` couples to the image X~. Backward, a target
+    point X~ = (x~1, x~2) has rank s = F~1(x~1 | x~2) under ``f~``; the
+    candidate's x-given-y quantile at s gives Z = (x1, x~2), coupled to the
+    preimage X. Source points lie in [0,1]^2 and target points in [1,2]^2.
+    Returns (images, preimages), one row per point.
+    """
+    src = np.asarray(src_points, dtype=float).reshape(-1, 2)
+    dst = np.asarray(dst_points, dtype=float).reshape(-1, 2)
+    t = inst.cq_G2.cond_cdf(src[:, 1], src[:, 0])
+    y = cand.cq_y.quantile(t, src[:, 0])
+    s = inst.cq_G1_tilde.cond_cdf(dst[:, 0], dst[:, 1])
+    x = cand.cq_x.quantile(s, dst[:, 1])
+    # both directions in one reconstruction: the forward points' X~ is the
+    # image, the backward points' X the preimage
+    z = np.column_stack([np.concatenate([src[:, 0], x]), np.concatenate([y, dst[:, 1]])])
+    X, Xt = reconstruct_coupling(inst, cand, z)
+    return Xt[: len(src)], X[len(src):]
+
+
 def sample_candidate(cand: CandidateQ, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` points from the candidate by conditional inversion."""
     my = marginal(cand.q, "y")
-    cq_x = ConditionalQuantile(cand.q, FIRST_GIVEN_SECOND)
     u = rng.random(n)
     v = rng.random(n)
     y = my.quantile_at(u)
-    x = cq_x.quantile(v, y)
+    x = cand.cq_x.quantile(v, y)
     return np.column_stack([x, y])

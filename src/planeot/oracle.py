@@ -1,6 +1,6 @@
 """Independent ground truth for the PDE pipeline.
 
-Two oracles, deliberately unrelated to the elliptic solve:
+Two oracles:
 
     * exact discrete optimal transport between atomized measures, solved
       as a transportation LP to vertex optimality with a primal-dual
@@ -9,7 +9,10 @@ Two oracles, deliberately unrelated to the elliptic solve:
       marginal-constraint polytope.
 
 Agreement of the PDE cost with both, under refinement, is the
-end-to-end validation of the reduction.
+end-to-end validation of the reduction. Neither calls the elliptic solve.
+A caller that holds a solve may seed the transport LP's support with the
+solve's transport map; the certificate prices every pair, so the LP's
+answer does not depend on the seed, only the work to reach it does.
 
 Only the transport LP needs ``scipy.optimize``, so this module loads it at
 the first call of ``linprog``, not on import: ``planeot solve`` without
@@ -59,6 +62,9 @@ GAP_TOL = 1e-9
 DENSE_PAIRS = 40 * 40
 # most restricted LP solves per level before pricing gives up
 PRICING_ROUNDS = 20
+# a map-seeded support links each atom to this many atoms nearest its
+# image under the map
+NEAR_ATOMS = 9
 # marginal projection: at most this many row/column passes, stopping once
 # both marginals are met to the tolerance
 PROJECTION_PASSES = 50
@@ -97,9 +103,14 @@ class AtomizedMeasure:
 
 
 class TransportPlan:
-    """Nonnegative coupling matrix with prescribed row/column sums."""
+    """Nonnegative coupling matrix with prescribed row/column sums.
 
-    __slots__ = ("plan", "dual_gap")
+    ``rounds`` counts the restricted LPs solved for it (the coarse levels
+    of a coarse-to-fine solve excluded) and ``priced_in`` the pairs that
+    pricing added to the starting support.
+    """
+
+    __slots__ = ("plan", "dual_gap", "rounds", "priced_in")
 
     def __init__(
         self,
@@ -107,6 +118,8 @@ class TransportPlan:
         source: AtomizedMeasure,
         target: AtomizedMeasure,
         dual_gap: float = np.nan,
+        rounds: int = 0,
+        priced_in: int = 0,
     ):
         plan = np.asarray(plan, dtype=float)
         if np.min(plan) < -1e-12:
@@ -120,6 +133,8 @@ class TransportPlan:
             )
         self.plan = plan
         self.dual_gap = float(dual_gap)
+        self.rounds = int(rounds)
+        self.priced_in = int(priced_in)
 
 
 def atomize(d: Density2D, nx: int, ny: int) -> AtomizedMeasure:
@@ -153,18 +168,30 @@ def atomize(d: Density2D, nx: int, ny: int) -> AtomizedMeasure:
     return AtomizedMeasure(pts, w / w.sum())
 
 
-def exact_ot(src: AtomizedMeasure, dst: AtomizedMeasure) -> tuple[TransportPlan, float]:
+def exact_ot(
+    src: AtomizedMeasure, dst: AtomizedMeasure, near=None
+) -> tuple[TransportPlan, float]:
     """Exact squared-distance transport between two atomized measures.
 
-    Solves the transportation LP coarse to fine on a sparse support.
-    Above ``DENSE_PAIRS`` pairs, each measure's atoms are binned into a
-    k x k grid over its own bounding box (k = isqrt(min(n, m)) // 2, at
-    least 2); a bin's atom carries its members' mass at their weighted
-    mean, and the coarse pair is solved the same way. The seed support is
-    every fine pair whose bin pair (source bx, by, target bx, by) is a pair
-    the coarse plan moves mass between, or one bin away from one along a
-    single coordinate. It is feasible: spreading each coarse cell X_IJ as
-    X_IJ (a_i/A_I) (b_j/B_J) meets both marginals.
+    Solves the transportation LP on a sparse support, grown by pricing.
+    At most ``DENSE_PAIRS`` pairs, the support is every pair and one round
+    settles. Above it, the starting support comes from one of two seeds:
+
+    * ``near = (images, preimages)``, a guess of the optimal map: each
+      source atom's image and each target atom's preimage, one row per
+      atom, such as ``cost.transport_map`` gives for a solved candidate.
+      The support is the ``NEAR_ATOMS`` target atoms nearest each image,
+      the ``NEAR_ATOMS`` source atoms nearest each preimage, and the
+      support of the north-west-corner plan, which makes it feasible
+      whatever the guess.
+    * Without ``near``, coarse to fine: each measure's atoms are binned
+      into a k x k grid over its own bounding box (k = isqrt(min(n, m)) //
+      2, at least 2); a bin's atom carries its members' mass at their
+      weighted mean, and the coarse pair is solved the same way. The
+      support is every fine pair whose bin pair (source bx, by, target bx,
+      by) is a pair the coarse plan moves mass between, or one bin away
+      from one along a single coordinate. It is feasible: spreading each
+      coarse cell X_IJ as X_IJ (a_i/A_I) (b_j/B_J) meets both marginals.
 
     Each round solves the LP restricted to the support with the HiGHS
     interior-point method (crossover to a vertex included) and prices the
@@ -172,19 +199,25 @@ def exact_ot(src: AtomizedMeasure, dst: AtomizedMeasure) -> tuple[TransportPlan,
     -tol join the support and the LP is solved again; in-support pairs are
     never priced, since the duals are feasible on them only to the solver's
     own tolerance. Past ``PRICING_ROUNDS`` rounds the solve fails with
-    ``Infeasible``. At most ``DENSE_PAIRS`` pairs, the support is every
-    pair and one round settles.
+    ``Infeasible``.
 
     The certificate: tol is ``GAP_TOL`` times the cost (at least 1e-12),
     and the primal-dual gap may not exceed it. Duals feasible to tol on
     every pair bound the distance to the optimum over every pair by
-    gap + tol, because the total mass is one. The cost is the squared
-    optimum.
+    gap + tol, because the total mass is one. So the cost does not depend
+    on the seed. The cost is the squared optimum.
     """
     n, m = len(src.weights), len(dst.weights)
     if n * m > SIZE_GUARD:
         raise SizeGuard(f"{n} x {m} = {n * m} atom pairs exceed the guard of {SIZE_GUARD} pairs")
-    return _transport(src, dst)
+    if near is not None:
+        near = tuple(np.asarray(a, dtype=float) for a in near)
+        if [a.shape for a in near] != [(n, 2), (m, 2)]:
+            raise ValueError(
+                f"near: images and preimages must have shapes ({n}, 2) and ({m}, 2), "
+                f"got {[a.shape for a in near]}"
+            )
+    return _transport(src, dst, near)
 
 
 def _coarsen(am: AtomizedMeasure, k: int) -> tuple[AtomizedMeasure, np.ndarray, np.ndarray]:
@@ -234,13 +267,55 @@ def _seed_support(src: AtomizedMeasure, dst: AtomizedMeasure) -> np.ndarray:
     ]
 
 
-def _transport(src: AtomizedMeasure, dst: AtomizedMeasure) -> tuple[TransportPlan, float]:
+def _sq_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distances from each row of ``p`` (rows) to each row of ``q`` (columns)."""
+    # per coordinate: an (n, m, 2) difference array is about ten times slower
+    return (p[:, 0, None] - q[None, :, 0]) ** 2 + (p[:, 1, None] - q[None, :, 1]) ** 2
+
+
+def _nearest(points: np.ndarray, atoms: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the ``k`` atoms nearest each point (more on ties), one row per point."""
+    d2 = _sq_distances(points, atoms)
+    return d2 <= np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+
+
+def _north_west_corner(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support (I, J) of the north-west-corner plan between weights ``a`` and ``b``.
+
+    Atom i of ``a`` covers the interval of cumulative mass between its
+    predecessors' sum and its own; the plan moves the overlap of each such
+    interval of ``a`` and of ``b``, so every gap between consecutive
+    interval ends is one pair.
+    """
+    ca, cb = np.cumsum(a), np.cumsum(b)
+    ends = np.concatenate([[0.0], np.union1d(ca[:-1], cb[:-1]), [1.0]])
+    mid = 0.5 * (ends[1:] + ends[:-1])
+    I = np.minimum(np.searchsorted(ca, mid), len(a) - 1)
+    J = np.minimum(np.searchsorted(cb, mid), len(b) - 1)
+    return I, J
+
+
+def _map_support(
+    src: AtomizedMeasure, dst: AtomizedMeasure, images: np.ndarray, preimages: np.ndarray
+) -> np.ndarray:
+    """Pairs near a guessed map, plus the north-west-corner plan's pairs."""
+    n, m = len(src.weights), len(dst.weights)
+    support = _nearest(images, dst.points, min(NEAR_ATOMS, m))
+    support |= _nearest(preimages, src.points, min(NEAR_ATOMS, n)).T
+    support[_north_west_corner(src.weights, dst.weights)] = True
+    return support
+
+
+def _transport(
+    src: AtomizedMeasure, dst: AtomizedMeasure, near=None
+) -> tuple[TransportPlan, float]:
     """``exact_ot`` without the size guard; recurses on the coarsened pair."""
     n, m = len(src.weights), len(dst.weights)
-    diff = src.points[:, None, :] - dst.points[None, :, :]
-    C = np.einsum("ijk,ijk->ij", diff, diff)
+    C = _sq_distances(src.points, dst.points)
     if n * m <= DENSE_PAIRS:
         support = np.ones((n, m), dtype=bool)
+    elif near is not None:
+        support = _map_support(src, dst, *near)
     else:
         support = _seed_support(src, dst)
     # one redundant column constraint is dropped to keep the system full rank.
@@ -249,7 +324,8 @@ def _transport(src: AtomizedMeasure, dst: AtomizedMeasure) -> tuple[TransportPla
     # by n + m are of order one, so its vertex is nonnegative far more tightly
     scale = n + m
     b_eq = scale * np.concatenate([src.weights, dst.weights[:-1]])
-    for _ in range(PRICING_ROUNDS):
+    priced_in = 0
+    for rounds in range(1, PRICING_ROUNDS + 1):
         I, J = np.nonzero(support)
         in_cols = np.flatnonzero(J < m - 1)
         rows = np.concatenate([I, n + J[in_cols]])
@@ -265,6 +341,7 @@ def _transport(src: AtomizedMeasure, dst: AtomizedMeasure) -> tuple[TransportPla
         entering = ~support & (C - u[:, None] - v[None, :] < -tol)
         if not entering.any():
             break
+        priced_in += np.count_nonzero(entering)
         support |= entering
     else:
         raise Infeasible(
@@ -279,7 +356,8 @@ def _transport(src: AtomizedMeasure, dst: AtomizedMeasure) -> tuple[TransportPla
         )
     X = np.zeros((n, m))
     X[I, J] = res.x / scale
-    return TransportPlan(X, src, dst, dual_gap=gap), primal
+    plan = TransportPlan(X, src, dst, dual_gap=gap, rounds=rounds, priced_in=priced_in)
+    return plan, primal
 
 
 def exact_ot_1d(

@@ -31,6 +31,7 @@ from .cost import (
     perturbation_deltas,
     shift_cost_relation,
     split_check,
+    transport_map,
 )
 from .errors import PlaneOTError
 from .grids import EPS_POS, Density2D, Grid1D, Marginal1D, ScalarField2D
@@ -77,6 +78,18 @@ def _pass(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
+def _map_seed(inst, rep, src, dst, shift: float = 0.0):
+    """The solve's transport map at the atoms, as ``exact_ot``'s ``near`` seed.
+
+    None when the solve recovered no candidate. ``shift`` moves the target
+    atoms onto the solved target's square and their images back.
+    """
+    if rep.candidate is None:
+        return None
+    images, preimages = transport_map(inst, rep.candidate, src.points, dst.points + shift)
+    return images - shift, preimages
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
@@ -119,10 +132,9 @@ def criterion_bilinear_triangulation(ws: Workspace, oracle: bool, oracle_atoms: 
     if not oracle:
         return CriterionResult("bilinear-triangulation", "SKIP", "oracle disabled")
     inst, F, rep = ws.solve("bilinear", 33)
-    _, ot_cost = exact_ot(
-        atomize(inst.f, oracle_atoms, oracle_atoms),
-        atomize(inst.f_tilde, oracle_atoms, oracle_atoms),
-    )
+    src = atomize(inst.f, oracle_atoms, oracle_atoms)
+    dst = atomize(inst.f_tilde, oracle_atoms, oracle_atoms)
+    _, ot_cost = exact_ot(src, dst, _map_seed(inst, rep, src, dst))
     _, direct_val = minimize_objective_direct(inst, 33, 33, iters=25)
     gap_ot = abs(rep.cost - ot_cost) / ot_cost
     gap_direct = abs(rep.cost - direct_val) / direct_val
@@ -282,11 +294,12 @@ def criterion_identities(
         inst.f_tilde.values,
     )
     coarse = max(8, oracle_atoms // 2)
-    _, w2_c = exact_ot(atomize(inst.f, coarse, coarse), atomize(q_orig, coarse, coarse))
-    _, w2_f = exact_ot(
-        atomize(inst.f, oracle_atoms, oracle_atoms),
-        atomize(q_orig, oracle_atoms, oracle_atoms),
-    )
+    w2 = []
+    for na in (coarse, oracle_atoms):
+        src, dst = atomize(inst.f, na, na), atomize(q_orig, na, na)
+        # the map runs from f to f~, and q_orig is f~ moved back by (1, 1)
+        w2.append(exact_ot(src, dst, _map_seed(inst, rep, src, dst, shift=1.0))[1])
+    w2_c, w2_f = w2
     r = (oracle_atoms / coarse) ** 2
     w2_extrap = (r * w2_f - w2_c) / (r - 1.0)
     gap = abs(cost_pq - w2_extrap) / abs(w2_extrap)

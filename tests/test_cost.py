@@ -221,6 +221,27 @@ class TestReconstruction:
         assert abs(mc - obj) / obj <= 0.01
 
 
+class TestTransportMap:
+    def test_uniform_translation(self, instances):
+        # between uniform squares the product coupling is the optimal one,
+        # and its map is the translation by (1, 1)
+        inst = instances("uniform", 33)
+        pts = np.array([[0.3, 0.7], [0.05, 0.9], [0.5, 0.5]])
+        images, preimages = po.transport_map(inst, product_candidate(inst), pts, pts + 1.0)
+        assert np.allclose(images, pts + 1.0, atol=1e-10)
+        assert np.allclose(preimages, pts, atol=1e-10)
+
+    def test_round_trip(self, solves):
+        # the inverse undoes the map at the 24-atom centres, and every
+        # image lies in the target square
+        inst, _, _, cand = solves("bilinear", 33)
+        src = po.atomize(inst.f, 24, 24).points
+        images, _ = po.transport_map(inst, cand, src, po.atomize(inst.f_tilde, 24, 24).points)
+        _, back = po.transport_map(inst, cand, src, images)
+        assert np.max(np.abs(back - src)) <= 1e-12
+        assert np.all((images >= 1.0) & (images <= 2.0))
+
+
 class TestMoments:
     def test_uniform_moments(self, instances):
         inst = instances("uniform", 33)

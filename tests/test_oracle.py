@@ -253,6 +253,47 @@ class TestCoarseToFine:
         assert sizes == [len(src.weights) * len(dst.weights)]
 
 
+class TestMapSeed:
+    """The transport LP seeded by a solve's transport map."""
+
+    @pytest.mark.parametrize("n, na, shift", [(33, 24, 0.0), (65, 12, 1.0)])
+    def test_one_lp_matches_coarse_to_fine(self, solves, monkeypatch, n, na, shift):
+        # bilinear 33 at 24 atoms, and the algebraic-identities pair: f
+        # against f~ moved back by (1, 1), mapped by the 65 solve. The seed
+        # skips the coarse levels and settles in one LP
+        inst, _, _, cand = solves("bilinear", n)
+        ft = inst.f_tilde
+        target = Density2D(
+            Grid1D(ft.gx.lo - shift, ft.gx.hi - shift, ft.gx.n),
+            Grid1D(ft.gy.lo - shift, ft.gy.hi - shift, ft.gy.n),
+            ft.values,
+        )
+        src, dst = po.atomize(inst.f, na, na), po.atomize(target, na, na)
+        _, ref = po.exact_ot(src, dst)
+        images, preimages = po.transport_map(inst, cand, src.points, dst.points + shift)
+        sizes = count_lp_solves(monkeypatch)
+        plan, cost = po.exact_ot(src, dst, (images - shift, preimages))
+        assert abs(cost - ref) <= 1e-12 * abs(ref)
+        assert plan.rounds == 1 and plan.priced_in == 0 and len(sizes) == 1
+
+    def test_wrong_map_repaired(self):
+        # every image and preimage at one corner: the support near the map
+        # cannot carry the marginals, the north-west-corner plan's pairs
+        # make it feasible, and pricing finds the optimum
+        src, dst = preset_atoms("bilinear", 16)
+        images = np.full((len(src.weights), 2), 2.0)
+        preimages = np.zeros((len(dst.weights), 2))
+        plan, cost = po.exact_ot(src, dst, (images, preimages))
+        _, ref_cost = dense_reference(src, dst)
+        assert abs(cost - ref_cost) <= 1e-12 * abs(ref_cost)
+        assert plan.rounds > 1 and plan.priced_in > 0
+
+    def test_shapes_checked(self):
+        src, dst = preset_atoms("bilinear", 4)
+        with pytest.raises(ValueError, match="near"):
+            po.exact_ot(src, dst, (src.points, dst.points[:-1]))
+
+
 class TestExactOt1d:
     def test_identical(self):
         w = np.array([0.5, 0.5])

@@ -78,7 +78,7 @@ class TestStationarity:
 
 class TestFailingCriterion:
     def test_error_becomes_fail_row(self, tmp_path, monkeypatch, capsys):
-        def broken(src, dst):
+        def broken(src, dst, near=None):
             raise Infeasible("transport LP failed:\nstub")
 
         monkeypatch.setattr(validation, "exact_ot", broken)
